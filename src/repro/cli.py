@@ -658,7 +658,8 @@ def _serve_cmd(args: argparse.Namespace) -> int:
 
     from repro.core.floorplan import FloorPlan, FloorPlanError
     from repro.core.system import ap_positions_by_bssid, site_bounds
-    from repro.serve import LocalizationHTTPServer, LocalizationService
+    from repro.serve import LocalizationHTTPServer, ModelRegistry
+    from repro.serve.registry import one_site_fleet
 
     if args.max_batch < 1:
         _fail(f"--max-batch must be >= 1, got {args.max_batch}")
@@ -700,51 +701,41 @@ def _serve_cmd(args: argparse.Namespace) -> int:
             pass  # un-framed plan: serve without bounds filtering
     elif args.sites is None and args.algorithm in ("geometric", "multilateration"):
         _fail(f"algorithm {args.algorithm!r} needs --plan for AP positions")
+    # One database is a fleet of one building: every path below serves
+    # a ModelRegistry.
+    sites = args.sites
+    if sites is None:
+        sites = one_site_fleet(args.database, args.algorithm, ap_positions, bounds)
 
     if args.workers > 1:
-        return _serve_multiproc(args, ap_positions, bounds)
+        return _serve_multiproc(args, sites)
 
     chaos = _build_chaos(args)
-    service = None
-    registry = None
     try:
-        if args.sites is not None:
-            from repro.serve import ModelRegistry
-
-            registry = ModelRegistry(
-                args.sites,
-                capacity=args.site_capacity,
-                default_site=args.default_site,
-                service_kwargs={"breakers": not args.no_breakers, "chaos": chaos},
-            )
-        else:
-            service = LocalizationService(
-                args.database,
-                algorithm=args.algorithm,
-                ap_positions=ap_positions,
-                bounds=bounds,
-                breakers=not args.no_breakers,
-                chaos=chaos,
-            )
+        registry = ModelRegistry(
+            sites,
+            capacity=args.site_capacity,
+            default_site=args.default_site,
+            service_kwargs={"breakers": not args.no_breakers, "chaos": chaos},
+        )
+        # Loads the default site: a bad pack fails here, before binding.
+        server = LocalizationHTTPServer(
+            registry=registry,
+            host=args.host,
+            port=args.port,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue=args.max_queue,
+            default_deadline_ms=args.default_deadline_ms,
+            p99_limit_ms=args.p99_limit_ms,
+            chaos=chaos,
+            drain_deadline_s=args.drain_deadline_s,
+            track_filter=args.track_filter,
+            session_capacity=args.session_capacity,
+            session_ttl_s=args.session_ttl_s,
+        )
     except (KeyError, ValueError, OSError) as exc:
         _fail(str(exc))
-
-    server = LocalizationHTTPServer(
-        service,
-        registry=registry,
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue,
-        default_deadline_ms=args.default_deadline_ms,
-        p99_limit_ms=args.p99_limit_ms,
-        chaos=chaos,
-        drain_deadline_s=args.drain_deadline_s,
-        track_filter=args.track_filter,
-        session_capacity=args.session_capacity,
-        session_ttl_s=args.session_ttl_s,
-    )
     # Always-on flight recorder: /debug/traces answers from it, and
     # SIGUSR2 dumps the retained traces to a JSONL for offline reading.
     from repro import obs
@@ -767,8 +758,8 @@ def _serve_cmd(args: argparse.Namespace) -> int:
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     try:
-        # In fleet mode server.service is the pinned default site's
-        # service, so the banner names the model legacy routes hit.
+        # server.service is the pinned default site's service: the
+        # banner names the model the unprefixed routes hit.
         model = _model_banner(server.service.describe())
         # The URL line is machine-readable on purpose: the CI smoke and
         # the load bench launch `repro serve --port 0` and parse it.
@@ -790,7 +781,7 @@ def _serve_cmd(args: argparse.Namespace) -> int:
             f"session_ttl_s={args.session_ttl_s}",
             flush=True,
         )
-        if registry is not None:
+        if args.sites is not None:
             print(
                 f"sites: {len(registry.site_ids())} "
                 f"(default {registry.default_site}, "
@@ -817,7 +808,7 @@ def _serve_cmd(args: argparse.Namespace) -> int:
     return 0 if report["unfinished"] == 0 else 1
 
 
-def _serve_multiproc(args: argparse.Namespace, ap_positions, bounds) -> int:
+def _serve_multiproc(args: argparse.Namespace, sites) -> int:
     """``repro serve --workers N``: supervise a SO_REUSEPORT fleet.
 
     Prints the same machine-readable banner and ``drain complete:``
@@ -830,12 +821,9 @@ def _serve_multiproc(args: argparse.Namespace, ap_positions, bounds) -> int:
     from repro.serve.workers import Supervisor, WorkerSpec
 
     spec = WorkerSpec(
-        database=args.database or "",
+        sites=sites,
         host=args.host,
         port=args.port,
-        algorithm=args.algorithm,
-        ap_positions=ap_positions,
-        bounds=bounds,
         breakers=not args.no_breakers,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
@@ -847,7 +835,6 @@ def _serve_multiproc(args: argparse.Namespace, ap_positions, bounds) -> int:
         session_capacity=args.session_capacity,
         session_ttl_s=args.session_ttl_s,
         chaos_kwargs=_chaos_kwargs(args),
-        sites=args.sites,
         default_site=args.default_site,
         site_capacity=args.site_capacity,
     )
@@ -1396,17 +1383,18 @@ def repro_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     serve.add_argument(
         "database", nargs="?", default=None,
-        help=".tdb training database to load and warm (omit with --sites)",
+        help=".tdb training database to load and warm, served as a one-site "
+        "fleet named after its file stem (omit with --sites)",
     )
     serve.add_argument(
         "--sites", default=None, metavar="FLEET",
         help="serve a multi-site fleet: a fleet.json manifest or a directory "
         "of .tdb/.tdbx packs; routes /v1/sites/{id}/... and aliases the "
-        "legacy routes to the default site (see docs/sites.md)",
+        "unprefixed routes to the default site (see docs/sites.md)",
     )
     serve.add_argument(
         "--default-site", default=None, metavar="ID",
-        help="with --sites: site the legacy single-site routes hit "
+        help="with --sites: site the unprefixed routes (/v1/locate, ...) hit "
         "(default: the manifest's default)",
     )
     serve.add_argument(

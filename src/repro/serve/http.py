@@ -1,8 +1,10 @@
 """The localization service's HTTP surface (stdlib only).
 
 :class:`LocalizationHTTPServer` fronts a
-:class:`~repro.serve.service.LocalizationService` with a threaded
-HTTP/1.1 server and a :class:`~repro.serve.batcher.MicroBatcher`:
+:class:`~repro.serve.registry.ModelRegistry` — one building is a
+one-site registry — with a threaded HTTP/1.1 server; each site's
+runtime owns its :class:`~repro.serve.batcher.MicroBatcher` and
+tracking sessions:
 
 * ``POST /v1/locate`` — one observation document; the request parks in
   the micro-batching queue and is answered from a shared
@@ -43,14 +45,13 @@ error bodies; admission/deadline/drain decisions land as edge-span
 attributes so a rejected request still leaves a one-span trace.
 * ``POST /admin/reload`` — atomic hot-reload of the model, optionally
   from a new ``{"database": path}``.
-* Fleet mode (constructed with a :class:`~repro.serve.registry.
-  ModelRegistry`): ``/v1/sites/{site}/locate[|/batch]``, site-scoped
+* Site routes: ``/v1/sites/{site}/locate[|/batch]``, site-scoped
   ``/v1/sites/{site}/track/{session}`` and ``/v1/sites/{site}/admin/
-  reload``, plus ``GET /v1/sites`` (the registry card).  The legacy
-  single-site paths above alias the registry's default site, request
-  metrics and spans gain a ``site`` label, and each request holds a
-  lease pinning its site's runtime so eviction never races in-flight
-  work (see docs/sites.md).
+  reload``, plus ``GET /v1/sites`` (the registry card).  The unprefixed
+  paths above alias the registry's default site; in a fleet of more
+  than one site request metrics and spans gain a ``site`` label.  Each
+  request holds a lease pinning its site's runtime so eviction never
+  races in-flight work (see docs/sites.md).
 * ``POST /admin/drain`` — graceful drain: stop accepting data-plane
   work, flush the batcher, finish in-flight requests under the drain
   deadline (see :meth:`LocalizationHTTPServer.drain`).
@@ -83,7 +84,6 @@ import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -97,7 +97,7 @@ from repro.obs.server import PROMETHEUS_CONTENT_TYPE, HealthCheck, run_health_ch
 from repro.obs.trace import SNAPSHOT_SCHEMA as TRACE_SCHEMA
 from repro.serve.batcher import DeadlineExceededError, MicroBatcher, QueueFullError
 from repro.serve.clock import SystemClock
-from repro.serve.registry import ModelRegistry, UnknownSiteError
+from repro.serve.registry import ModelRegistry, SiteRuntime, UnknownSiteError
 from repro.serve.resilience import (
     AdmissionController,
     ChaosPolicy,
@@ -108,7 +108,6 @@ from repro.serve.service import LocalizationService
 from repro.serve.sessions import (
     BadTimestampError,
     SessionClosedError,
-    TrackingSessions,
     UnknownSessionError,
 )
 from repro.serve.wire import (
@@ -157,8 +156,7 @@ DATA_PLANE = frozenset({"locate", "locate_batch", "track"})
 #: Path prefix of the tracking-session endpoints.
 TRACK_PREFIX = "/v1/track/"
 
-#: Path prefix of the multi-site (fleet) endpoints; only routed when
-#: the server fronts a :class:`~repro.serve.registry.ModelRegistry`.
+#: Path prefix of the site-scoped endpoints.
 SITES_PREFIX = "/v1/sites/"
 
 #: Session ids are client-chosen path segments; keep them boring.
@@ -168,12 +166,16 @@ _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
 _SITE_ID_RE = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
 
 #: Endpoints whose metric series / span attributes carry a ``site``
-#: label in fleet mode.  Control-plane scrapes (metrics, health, index)
-#: stay unlabelled, and single-site servers never add the label at all
-#: — their series names are byte-compatible with the pre-fleet ones.
+#: label in a fleet of more than one site.  Control-plane scrapes
+#: (metrics, health, index) stay unlabelled, and a one-site fleet never
+#: adds the label at all (:meth:`~repro.serve.registry.ModelRegistry.
+#: site_label`) — its series names are the single-building ones.
 _SITE_LABELLED = frozenset(
     {"locate", "locate_batch", "track", "track_status", "track_close", "reload"}
 )
+
+#: ``Content-Length = 1*DIGIT`` (RFC 9110); anything else loses framing.
+_CONTENT_LENGTH_RE = re.compile(r"[0-9]+")
 
 #: Hard cap on request bodies (a locate document is a few KB; anything
 #: near this is a mistake or an attack).
@@ -208,29 +210,32 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing --------------------------------------------------------
     def _reply(self, status: int, body: bytes, content_type: str = "application/json",
                headers: Optional[Dict[str, str]] = None, trickle_s: float = 0.0) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        # Request identity rides on every reply this request produces —
-        # success, error, 404 and early rejects alike.
-        for key, value in getattr(self, "_trace_headers", {}).items():
-            self.send_header(key, value)
-        for key, value in (headers or {}).items():
-            self.send_header(key, value)
-        self.end_headers()
-        if trickle_s > 0.0 and body:
-            # Chaos slow-loris: dribble the body out in small chunks so
-            # a client without a read timeout would hang here.
-            step = max(1, len(body) // 8)
-            for i in range(0, len(body), step):
-                self.wfile.write(body[i:i + step])
-                self.wfile.flush()
-                time.sleep(trickle_s)
-        else:
-            self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            # Request identity rides on every reply this request produces —
+            # success, error, 404 and early rejects alike.
+            for key, value in getattr(self, "_trace_headers", {}).items():
+                self.send_header(key, value)
+            for key, value in (headers or {}).items():
+                self.send_header(key, value)
+            self.end_headers()
+            if trickle_s > 0.0 and body:
+                # Chaos slow-loris: dribble the body out in small chunks so
+                # a client without a read timeout would hang here.
+                step = max(1, len(body) // 8)
+                for i in range(0, len(body), step):
+                    self.wfile.write(body[i:i + step])
+                    self.wfile.flush()
+                    time.sleep(trickle_s)
+            else:
+                self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client hung up first; its problem, not the service's
 
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length
         if length <= 0:
             raise _ApiError(400, "empty_body", "POST body must be a JSON document")
         if length > MAX_BODY_BYTES:
@@ -253,10 +258,8 @@ class _Handler(BaseHTTPRequestHandler):
         request on the connection into a 501).  Oversized bodies are
         not worth reading to save the connection: hang up instead.
         """
-        if self._body_read:
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        length = self._content_length
+        if self._body_read or length <= 0:
             return
         if length > MAX_BODY_BYTES:
             self.close_connection = True
@@ -285,6 +288,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         owner = self.server.owner
+        registry = owner.registry
         self._body_read = False  # per-request: the handler instance spans a connection
         path = self.path.split("?", 1)[0]
         routes = {
@@ -296,10 +300,9 @@ class _Handler(BaseHTTPRequestHandler):
             ("GET", "/metrics"): ("metrics", owner._handle_metrics),
             ("GET", "/metrics.json"): ("metrics_json", owner._handle_metrics_json),
             ("GET", "/debug/traces"): ("debug_traces", owner._handle_debug_traces),
+            ("GET", "/v1/sites"): ("sites", owner._handle_sites),
             ("GET", "/"): ("index", owner._handle_index),
         }
-        if owner.registry is not None:
-            routes[("GET", "/v1/sites")] = ("sites", owner._handle_sites)
         entry = routes.get((method, path))
         if entry is None and path.startswith(TRACK_PREFIX) and len(path) > len(TRACK_PREFIX):
             session_id = path[len(TRACK_PREFIX):]
@@ -314,25 +317,21 @@ class _Handler(BaseHTTPRequestHandler):
                     endpoint_name,
                     lambda h, _f=track_handler, _sid=session_id: _f(h, _sid),
                 )
-        # Fleet routes: /v1/sites/{site}/... — legacy paths above stay
-        # valid and alias the registry's default site.
-        site_label: Optional[str] = None
-        if owner.registry is not None:
-            site_label = owner.registry.default_site
-            if (
-                entry is None
-                and path.startswith(SITES_PREFIX)
-                and len(path) > len(SITES_PREFIX)
-            ):
-                site_id, _, tail = path[len(SITES_PREFIX):].partition("/")
-                entry = owner._site_entry(method, site_id, tail)
-                # Label with the site only when it is a real fleet
-                # member: client-invented ids must not mint series.
-                site_label = (
-                    site_id
-                    if _SITE_ID_RE.match(site_id) and site_id in owner.registry
-                    else "unknown"
-                )
+        # Site routes: /v1/sites/{site}/... — the paths above alias the
+        # registry's default site.
+        site = registry.default_site
+        if entry is None and path.startswith(SITES_PREFIX) and len(path) > len(SITES_PREFIX):
+            site_id, _, tail = path[len(SITES_PREFIX):].partition("/")
+            entry = owner._site_entry(method, site_id, tail)
+            # Label with the site only when it is a real fleet member:
+            # client-invented ids must not mint series.
+            site = site_id if _SITE_ID_RE.match(site_id) and site_id in registry else "unknown"
+        endpoint = "unknown" if entry is None else entry[0]
+        req_labels: Dict[str, str] = {"endpoint": endpoint}
+        span_extra: Dict[str, str] = {}
+        site_label = registry.site_label(site)
+        if site_label is not None and endpoint in _SITE_LABELLED:
+            req_labels["site"] = span_extra["site"] = site_label
         trickle_s = 0.0
         # Request identity: adopt the client's W3C traceparent (or mint
         # a fresh context) and echo/assign X-Request-Id.  The headers
@@ -349,14 +348,26 @@ class _Handler(BaseHTTPRequestHandler):
             REQUEST_ID_HEADER: request_id,
             TRACE_ID_HEADER: ctx.trace_id,
         }
+        # The one Content-Length parse every body read and discard uses.
+        lengths = self.headers.get_all("Content-Length") or ["0"]
+        if len(lengths) != 1 or not _CONTENT_LENGTH_RE.fullmatch(lengths[0].strip()):
+            # The body's framing is lost: answer, then hang up rather
+            # than parse its bytes as the next request line.
+            obs.counter("serve.http_requests", code="400", **req_labels).inc()
+            self._reply(400, canonical_json({
+                "error": "bad_content_length",
+                "detail": "Content-Length must be one run of decimal digits",
+                "request_id": request_id,
+            }), headers={"Connection": "close"})
+            return
+        self._content_length = int(lengths[0])
         if entry is None:
-            endpoint = "unknown"
-            req_labels: Dict[str, str] = {"endpoint": endpoint}
-            known = {p for _, p in routes} | {TRACK_PREFIX + "{session}"}
-            if owner.registry is not None:
-                known |= {SITES_PREFIX + "{site}/locate[|/batch]",
-                          SITES_PREFIX + "{site}/track/{session}",
-                          SITES_PREFIX + "{site}/admin/reload"}
+            known = {p for _, p in routes} | {
+                TRACK_PREFIX + "{session}",
+                SITES_PREFIX + "{site}/locate[|/batch]",
+                SITES_PREFIX + "{site}/track/{session}",
+                SITES_PREFIX + "{site}/admin/reload",
+            }
             status, body, content_type, headers = (
                 404,
                 canonical_json(
@@ -367,12 +378,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {},
             )
         else:
-            endpoint, handler = entry
-            req_labels = {"endpoint": endpoint}
-            span_extra: Dict[str, str] = {}
-            if site_label is not None and endpoint in _SITE_LABELLED:
-                req_labels["site"] = site_label
-                span_extra["site"] = site_label
+            handler = entry[1]
             data_plane = endpoint in DATA_PLANE
             chaos = owner.chaos
             if data_plane and chaos is not None and chaos.reset_connection():
@@ -411,10 +417,7 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 obs.counter("serve.http_requests", code=str(status), **req_labels).inc()
                 self._discard_body()
-                try:
-                    self._reply(status, body, content_type, headers)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
+                self._reply(status, body, content_type, headers)
                 return
 
             def invoke() -> _Route:
@@ -482,22 +485,21 @@ class _Handler(BaseHTTPRequestHandler):
                 trickle_s = chaos.slowloris_delay_s
         obs.counter("serve.http_requests", code=str(status), **req_labels).inc()
         self._discard_body()
-        try:
-            self._reply(status, body, content_type, headers, trickle_s=trickle_s)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client hung up first; its problem, not the service's
+        self._reply(status, body, content_type, headers, trickle_s=trickle_s)
 
 
 _Route = Tuple[int, bytes, str, Dict[str, str]]
 
 
 class LocalizationHTTPServer:
-    """Serve a :class:`LocalizationService` over HTTP with micro-batching.
+    """Serve a :class:`ModelRegistry` over HTTP with micro-batching.
 
     Parameters
     ----------
     service:
-        The model owner; must be loaded (or loadable via its reload).
+        One loaded building, served as a one-site registry
+        (:meth:`~repro.serve.registry.ModelRegistry.from_service`).
+        Pass either this or ``registry``.
     host, port:
         Bind address; ``port=0`` picks a free port (read :attr:`url`).
     max_batch, max_wait_ms, max_queue:
@@ -530,9 +532,7 @@ class LocalizationHTTPServer:
     track_filter, session_capacity, session_ttl_s:
         Tracking-session knobs: which filter ``/v1/track`` sessions run
         (kalman / bayes / particle), the session-store bound (LRU
-        evicts beyond it) and the idle TTL.  Alternatively pass a ready
-        :class:`~repro.serve.sessions.TrackingSessions` as ``sessions``
-        (tests inject manual clocks this way) and these are ignored.
+        evicts beyond it) and the idle TTL.
     reuse_port:
         Bind with ``SO_REUSEPORT`` so N worker processes can share one
         listening port and the kernel load-balances accepted
@@ -561,17 +561,15 @@ class LocalizationHTTPServer:
         broadcast it to its siblings.  Failures are counted, never
         surfaced to the admin caller.
     registry:
-        Optional :class:`~repro.serve.registry.ModelRegistry` — fleet
-        mode.  The server pins the registry's default site for its
-        lifetime (the legacy single-site routes alias it), routes
-        ``/v1/sites/{site}/...`` through per-site runtimes (each with
-        its own micro-batcher, tracking sessions and breaker board —
-        batches never coalesce across sites), and adds a ``site``
-        label to request metrics and trace spans.  ``service`` may be
-        None; the batching/tracking knobs above are pushed into the
+        The :class:`~repro.serve.registry.ModelRegistry` to serve.  The
+        server pins its default site for its lifetime (the unprefixed
+        routes alias it) and routes ``/v1/sites/{site}/...`` through
+        per-site runtimes, each with its own micro-batcher, tracking
+        sessions and breaker board — batches never coalesce across
+        sites.  The batching/tracking knobs above are pushed into the
         registry's per-site runtime config where not already set.
-        ``stop()``/``drain()`` close the registry (it is single-use,
-        like the server).
+        ``drain()`` stops every resident site's dispatchers; ``stop()``
+        closes the registry (it is single-use, like the server).
 
     Use as a context manager or ``start()``/``stop()``.
     """
@@ -604,7 +602,6 @@ class LocalizationHTTPServer:
         track_filter: str = "kalman",
         session_capacity: int = 10000,
         session_ttl_s: float = 300.0,
-        sessions: Optional[TrackingSessions] = None,
         reuse_port: bool = False,
         metrics_source: Optional[Callable[[], dict]] = None,
         metrics_state_source: Optional[Callable[[], dict]] = None,
@@ -612,10 +609,10 @@ class LocalizationHTTPServer:
         admin_hook: Optional[Callable[[Dict[str, object]], None]] = None,
         registry: Optional[ModelRegistry] = None,
     ):
-        if service is None and registry is None:
-            raise ValueError("pass a LocalizationService or a ModelRegistry")
-        if registry is not None and sessions is not None:
-            raise ValueError("fleet mode builds per-site sessions; don't inject one")
+        if [service, registry].count(None) != 1:
+            raise ValueError("pass either a LocalizationService or a ModelRegistry")
+        if service is not None:
+            registry = ModelRegistry.from_service(service)
         self.registry = registry
         self.host = host
         self.reuse_port = bool(reuse_port)
@@ -632,72 +629,42 @@ class LocalizationHTTPServer:
         )
         self.chaos = chaos
         self.drain_deadline_s = float(drain_deadline_s)
-        if registry is not None:
-            # Fleet mode: per-site runtimes own batchers and sessions.
-            # Push this server's knobs into the registry's runtime
-            # config (where the caller didn't set their own), then pin
-            # the default site for the server's lifetime — the legacy
-            # routes and the health checks run against it, and it can
-            # never be evicted out from under them.
-            registry.configure_runtimes(
-                batch_config={
-                    "max_batch": max_batch,
-                    "max_wait_ms": max_wait_ms,
-                    "max_queue": max_queue,
-                },
-                track_config={
-                    "kind": track_filter,
-                    "capacity": session_capacity,
-                    "ttl_s": session_ttl_s,
-                    "max_batch": max_batch,
-                    "max_wait_ms": max_wait_ms,
-                    "max_queue": max_queue,
-                },
-                clock=self._clock,
-            )
-            self._default_runtime: Optional[object] = registry.acquire(None)
-            service = self._default_runtime.service
-            self.batcher = self._default_runtime.batcher
-            self.sessions = self._default_runtime.sessions
-        else:
-            self._default_runtime = None
-            self.batcher = MicroBatcher(
-                service.locate_many,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                max_queue=max_queue,
-                clock=self._clock,
-                name="http",
-            )
-            # Stateful tracking sessions share the batching knobs and (by
-            # default) the clock, so deadline math is one coordinate system.
-            self.sessions = sessions if sessions is not None else TrackingSessions(
-                service,
-                kind=track_filter,
-                capacity=session_capacity,
-                ttl_s=session_ttl_s,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                max_queue=max_queue,
-                clock=self._clock,
-            )
-        self.service = service
-        # Leases against this view make the single-site handlers and
-        # the fleet handlers one code path (site_id None ⇒ no labels).
-        self._single_view = SimpleNamespace(
-            service=service, batcher=self.batcher, sessions=self.sessions,
-            site_id=None,
+        # Site runtimes own batchers and sessions.  Push this server's
+        # knobs into the registry's runtime config (where the caller
+        # didn't set their own) — tracking shares the batching knobs and
+        # the clock, so deadline math is one coordinate system — then pin
+        # the default site for the server's lifetime: the unprefixed
+        # routes and the health checks run against it, and it can never
+        # be evicted out from under them.
+        registry.configure_runtimes(
+            batch_config={
+                "max_batch": max_batch,
+                "max_wait_ms": max_wait_ms,
+                "max_queue": max_queue,
+            },
+            track_config={
+                "kind": track_filter,
+                "capacity": session_capacity,
+                "ttl_s": session_ttl_s,
+                "max_batch": max_batch,
+                "max_wait_ms": max_wait_ms,
+                "max_queue": max_queue,
+            },
+            clock=self._clock,
         )
+        self._default_runtime = registry.acquire(None)
+        self.service = self._default_runtime.service
+        self.batcher = self._default_runtime.batcher
+        self.sessions = self._default_runtime.sessions
         self._checks: List[Tuple[str, HealthCheck]] = [
-            ("model", service.health_check),
+            ("model", self.service.health_check),
             ("dispatcher", self._dispatcher_check),
             ("queue", self._queue_check),
-            ("breakers", service.breaker_health),
+            ("breakers", self.service.breaker_health),
             ("sessions", self._sessions_check),
             ("lifecycle", self._lifecycle_check),
+            ("registry", self._registry_check),
         ]
-        if registry is not None:
-            self._checks.append(("registry", self._registry_check))
         self._httpd: Optional[LocalizationHTTPServer._HTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -754,11 +721,6 @@ class LocalizationHTTPServer:
     def start(self) -> "LocalizationHTTPServer":
         if self._httpd is not None:
             raise RuntimeError("LocalizationHTTPServer already started")
-        self.service.model()  # fail fast: no point binding without a model
-        if self.registry is None:
-            # Fleet runtimes start their own dispatchers on first use.
-            self.batcher.start()
-            self.sessions.start()
         if self.reuse_port:
             if not hasattr(socket, "SO_REUSEPORT"):
                 raise RuntimeError("SO_REUSEPORT is not available on this platform")
@@ -800,14 +762,8 @@ class LocalizationHTTPServer:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        if self.registry is not None:
-            if self._default_runtime is not None:
-                self.registry.release(self._default_runtime)
-                self._default_runtime = None
-            self.registry.close()
-        else:
-            self.batcher.stop()
-            self.sessions.stop()
+        self.registry.release(self._default_runtime)
+        self.registry.close()
         self._httpd = None
         self._thread = None
 
@@ -838,16 +794,12 @@ class LocalizationHTTPServer:
             floor_s=self.retry_after_s,
         )
 
-    def _retry_after_s(self) -> int:
-        return self._retry_after_for(self.batcher)
-
-    def _shed(self, reason: str, batcher: Optional[MicroBatcher] = None) -> _ApiError:
-        retry_after = self._retry_after_for(
-            batcher if batcher is not None else self.batcher
-        )
-        # Queue-pressure sheds keep the wire name pre-dating the
-        # admission controller ("queue_full"); the latency brake is new.
-        error = "queue_full" if reason.startswith("queue") else "overloaded"
+    def _shed(self, reason: str, batcher: MicroBatcher) -> _ApiError:
+        """The 429 for a shed or a full queue, timed by that queue."""
+        retry_after = self._retry_after_for(batcher)
+        # Queue sheds (watermark or full) keep the wire name pre-dating
+        # the admission controller ("queue_full"); the latency brake is new.
+        error = "queue_full" if "queue" in reason else "overloaded"
         err = _ApiError(429, error, reason, retry_after_s=retry_after)
         err.headers["Retry-After"] = str(retry_after)
         return err
@@ -871,7 +823,7 @@ class LocalizationHTTPServer:
             self._inflight_cond.notify_all()
 
     def _draining_response(self, request_id: Optional[str] = None) -> _Route:
-        retry_after = self._retry_after_s()
+        retry_after = self._retry_after_for(self.batcher)
         doc: Dict[str, object] = {
             "error": "draining", "detail": "instance is draining; retry elsewhere",
         }
@@ -898,8 +850,10 @@ class LocalizationHTTPServer:
         2. Wait for in-flight data-plane requests to finish, bounded by
            ``deadline_s`` (default: the constructor's
            ``drain_deadline_s``).
-        3. Stop the micro-batcher, which drains every already-accepted
-           queued request before its thread exits.
+        3. Stop every resident site's dispatchers, which drain every
+           already-accepted queued request before their threads exit.
+           The registry stays open, so tracking reads and closes keep
+           answering from the session stores; :meth:`stop` closes it.
 
         Returns a report: ``{"drained", "waited_s", "unfinished"}``.
         ``unfinished == 0`` is the graceful-exit contract the CI chaos
@@ -922,13 +876,8 @@ class LocalizationHTTPServer:
             unfinished = self._inflight
         if not already:
             # Drains the accepted backlog: every queued future resolves,
-            # including queued tracking-session steps.  Fleet mode
-            # quiesces every resident site the same way.
-            if self.registry is not None:
-                self.registry.close()
-            else:
-                self.batcher.stop()
-                self.sessions.stop()
+            # including queued tracking-session steps.
+            self.registry.drain()
         report: Dict[str, object] = {
             "drained": unfinished == 0,
             "waited_s": round(time.monotonic() - t0, 4),
@@ -1007,18 +956,13 @@ class LocalizationHTTPServer:
         return None
 
     @contextmanager
-    def _leased(self, site: Optional[str]) -> Iterator[SimpleNamespace]:
+    def _leased(self, site: Optional[str]) -> Iterator[SiteRuntime]:
         """Pin the site's runtime for the duration of one request.
 
-        Single-site servers yield the fixed view (site_id None — no
-        labels, no registry).  Fleet servers acquire through the
-        registry, so the runtime cannot be evicted while the request —
-        including its ``future.result()`` wait — is in flight, and
-        release when the response is built.
+        The runtime cannot be evicted while the request — including its
+        ``future.result()`` wait — is in flight; the lease is released
+        when the response is built.
         """
-        if self.registry is None:
-            yield self._single_view
-            return
         try:
             runtime = self.registry.acquire(site)
         except UnknownSiteError as exc:
@@ -1026,7 +970,7 @@ class LocalizationHTTPServer:
                 404, "unknown_site", str(exc), sites=self.registry.site_ids()
             ) from None
         except RuntimeError as exc:
-            # Registry closed by a drain racing this request.
+            # Registry closed by a stop racing this request.
             raise _ApiError(503, "draining", str(exc)) from None
         try:
             yield runtime
@@ -1055,10 +999,7 @@ class LocalizationHTTPServer:
                 # Refused at enqueue: already dead on arrival, never queued.
                 raise _ApiError(504, "deadline_exceeded", str(exc)) from None
             except QueueFullError as exc:
-                retry_after = self._retry_after_for(view.batcher)
-                err = _ApiError(429, "queue_full", str(exc), retry_after_s=retry_after)
-                err.headers["Retry-After"] = str(retry_after)
-                raise err from None
+                raise self._shed(str(exc), view.batcher) from None
             try:
                 # The dispatcher enforces the queue-side deadline; the extra
                 # slack here only bounds a dispatch that is itself slow.
@@ -1118,16 +1059,6 @@ class LocalizationHTTPServer:
                 "session ids are 1-128 chars of [A-Za-z0-9._:-]",
             )
 
-    def _track_retry_after_s(self, sessions: Optional[TrackingSessions] = None) -> int:
-        sessions = sessions if sessions is not None else self.sessions
-        return compute_retry_after_s(
-            sessions.batcher.queue_depth(),
-            drain_rate=sessions.batcher.drain_rate(),
-            max_batch=sessions.batcher.max_batch,
-            max_wait_s=sessions.batcher.max_wait_s,
-            floor_s=self.retry_after_s,
-        )
-
     def _handle_track_step(
         self, handler: _Handler, session_id: str, site: Optional[str] = None
     ) -> _Route:
@@ -1141,7 +1072,7 @@ class LocalizationHTTPServer:
         sessions = view.sessions
         shed = self.admission.admit(Priority.NORMAL, sessions.batcher.queue_depth())
         if shed is not None:
-            raise self._shed(shed)
+            raise self._shed(shed, sessions.batcher)
         doc = handler._read_json()
         try:
             observation = observation_from_json(doc, expect_site=view.site_id)
@@ -1185,10 +1116,7 @@ class LocalizationHTTPServer:
         except DeadlineExceededError as exc:
             raise _ApiError(504, "deadline_exceeded", str(exc)) from None
         except QueueFullError as exc:
-            retry_after = self._track_retry_after_s(sessions)
-            err = _ApiError(429, "queue_full", str(exc), retry_after_s=retry_after)
-            err.headers["Retry-After"] = str(retry_after)
-            raise err from None
+            raise self._shed(str(exc), sessions.batcher) from None
         try:
             estimate, seq = future.result(
                 timeout=None if budget_s is None else budget_s + 30.0
@@ -1249,10 +1177,9 @@ class LocalizationHTTPServer:
     def _handle_reload(
         self, handler: _Handler, site: Optional[str] = None
     ) -> _Route:
-        length = int(handler.headers.get("Content-Length") or 0)
         database = None
         body_site = None
-        if length > 0:
+        if handler._content_length > 0:
             doc = handler._read_json()
             if not isinstance(doc, dict):
                 raise _ApiError(400, "bad_request", "reload body must be a JSON object")
@@ -1267,46 +1194,22 @@ class LocalizationHTTPServer:
                     f"body site {body_site!r} contradicts path site {site!r}",
                 )
             site = body_site
-        if self.registry is not None:
-            # Fleet reload: the registry swaps the site's model (loading
-            # the site first if cold), bumps its generation and rebinds
-            # any live trackers on it.
-            try:
-                info = self.registry.reload(site, database)
-            except UnknownSiteError as exc:
-                raise _ApiError(
-                    404, "unknown_site", str(exc), sites=self.registry.site_ids()
-                ) from None
-            except Exception as exc:  # noqa: BLE001 - old model keeps serving
-                raise _ApiError(
-                    500, "reload_failed", f"{type(exc).__name__}: {exc}",
-                    serving="previous model",
-                ) from None
-            info = dict(info)
-            rebound = info.pop("sessions", {"sessions": 0, "kept": 0, "reset": 0})
-            self._notify_admin(
-                {"cmd": "reload", "database": database, "site": info.get("site")}
-            )
-            return (
-                200,
-                canonical_json({"reloaded": True, "model": info, "sessions": rebound}),
-                "application/json",
-                {},
-            )
-        if site is not None:
-            raise _ApiError(
-                400, "bad_request", "this server is single-site; no site to reload"
-            )
+        # The registry swaps the site's model (loading the site first if
+        # cold), bumps its generation and rebinds any live trackers on
+        # it, keeping their filter state where it can.
         try:
-            info = self.service.reload(database)
+            info = dict(self.registry.reload(site, database))
+        except UnknownSiteError as exc:
+            raise _ApiError(
+                404, "unknown_site", str(exc), sites=self.registry.site_ids()
+            ) from None
         except Exception as exc:  # noqa: BLE001 - old model keeps serving
             raise _ApiError(
-                500, "reload_failed", f"{type(exc).__name__}: {exc}", serving="previous model",
+                500, "reload_failed", f"{type(exc).__name__}: {exc}",
+                serving="previous model",
             ) from None
-        # Live tracking sessions follow the swap coherently: each filter
-        # re-binds to the new generation, keeping its state where it can.
-        rebound = self.sessions.rebind()
-        self._notify_admin({"cmd": "reload", "database": database})
+        rebound = info.pop("sessions", {"sessions": 0, "kept": 0, "reset": 0})
+        self._notify_admin({"cmd": "reload", "database": database, "site": info["site"]})
         return (
             200,
             canonical_json({"reloaded": True, "model": info, "sessions": rebound}),
@@ -1330,8 +1233,7 @@ class LocalizationHTTPServer:
 
     def _handle_drain(self, handler: _Handler) -> _Route:
         deadline_s = None
-        length = int(handler.headers.get("Content-Length") or 0)
-        if length > 0:
+        if handler._content_length > 0:
             doc = handler._read_json()
             if not isinstance(doc, dict):
                 raise _ApiError(400, "bad_request", "drain body must be a JSON object")
@@ -1420,6 +1322,7 @@ class LocalizationHTTPServer:
         return 200, body, "application/json", {}
 
     def _handle_index(self, handler: _Handler) -> _Route:
+        status = self.registry.status()
         doc = {
             "service": "repro-localization",
             "model": self.service.describe(),
@@ -1445,17 +1348,6 @@ class LocalizationHTTPServer:
                 "GET /metrics",
                 "GET /metrics.json",
                 "GET /debug/traces",
-            ],
-        }
-        if self.registry is not None:
-            status = self.registry.status()
-            doc["sites"] = {
-                "default": status["default"],
-                "capacity": status["capacity"],
-                "known": status["sites"],
-                "resident": [entry["site"] for entry in status["resident"]],
-            }
-            doc["endpoints"] += [
                 "GET /v1/sites",
                 "POST /v1/sites/{site}/locate",
                 "POST /v1/sites/{site}/locate/batch",
@@ -1463,5 +1355,12 @@ class LocalizationHTTPServer:
                 "GET /v1/sites/{site}/track/{session}",
                 "DELETE /v1/sites/{site}/track/{session}",
                 "POST /v1/sites/{site}/admin/reload",
-            ]
+            ],
+            "sites": {
+                "default": status["default"],
+                "capacity": status["capacity"],
+                "known": status["sites"],
+                "resident": [entry["site"] for entry in status["resident"]],
+            },
+        }
         return 200, canonical_json(doc), "application/json", {}

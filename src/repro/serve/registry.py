@@ -14,7 +14,10 @@ behind it":
   MicroBatcher` (batches never coalesce across sites — one dispatch,
   one model), per-site :class:`~repro.serve.sessions.TrackingSessions`
   and a per-site drift monitor, all created lazily on first use.
-* :class:`ModelRegistry` — the bounded LRU of resident runtimes.
+* :class:`ModelRegistry` — the bounded LRU of resident runtimes, and
+  the only owner of serving runtimes: a single building is served as
+  a one-site registry (:func:`one_site_fleet`,
+  :meth:`ModelRegistry.from_service`).
   First request for a cold site pays one model load (*single-flight*:
   a thundering herd coalesces onto one loader; followers wait on its
   event).  Loads run **outside** the registry lock, so a cold site
@@ -30,7 +33,10 @@ behind it":
 Metrics (all site-labelled — bounded by fleet size, not traffic):
 ``serve.site.requests{site=,cache=hit|miss|coalesced}``,
 ``serve.site.loads{site=,result=}``, ``serve.site.evictions{site=}``,
-``serve.site_load_ms`` and the ``serve.sites.resident`` gauge.
+``serve.site_load_ms`` and the ``serve.sites.resident`` gauge.  The
+request, batch and session series a server exports for a site carry
+the site only in a fleet of more than one (:meth:`ModelRegistry.
+site_label`), so a one-building server keeps its unlabelled names.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ __all__ = [
     "SiteRuntime",
     "UnknownSiteError",
     "load_fleet",
+    "one_site_fleet",
     "write_fleet_manifest",
 ]
 
@@ -213,6 +220,25 @@ def load_fleet(path: Union[str, os.PathLike]) -> Tuple[Dict[str, SiteDefinition]
     return sites, (str(default) if default is not None else sorted(sites)[0])
 
 
+def one_site_fleet(
+    database: Union[str, TrainingDatabase],
+    algorithm: str = "fallback",
+    ap_positions: Optional[Dict[str, Point]] = None,
+    bounds: Optional[Tuple[float, float, float, float]] = None,
+) -> Dict[str, SiteDefinition]:
+    """The fleet of one building that ``repro serve DB`` hands the registry.
+
+    The site id is the pack's file stem — the id :func:`load_fleet`
+    gives the same pack in a bare directory — or ``default`` for an
+    in-memory database.
+    """
+    if isinstance(database, TrainingDatabase):
+        site_id = "default"
+    else:
+        site_id = os.path.splitext(os.path.basename(str(database)))[0]
+    return {site_id: SiteDefinition(site_id, database, algorithm, ap_positions, bounds)}
+
+
 class SiteRuntime:
     """One resident site: fitted service + lazily started per-site plumbing.
 
@@ -220,7 +246,8 @@ class SiteRuntime:
     site; the locate batcher, tracking sessions and drift monitor are
     created on first use so a site that only ever sees batch requests
     never starts a dispatcher thread it doesn't need.  ``pins`` counts
-    in-flight leases — the registry never evicts a pinned runtime.
+    in-flight leases — the registry never evicts a pinned runtime.  The
+    registry names the dispatchers through the configs' ``name`` keys.
     """
 
     def __init__(
@@ -260,10 +287,7 @@ class SiteRuntime:
                 raise RuntimeError(f"site runtime {self.site_id!r} is closed")
             if self._batcher is None:
                 self._batcher = MicroBatcher(
-                    self.service.locate_many,
-                    clock=self._clock,
-                    name=f"http@{self.site_id}",
-                    **self._batch_config,
+                    self.service.locate_many, clock=self._clock, **self._batch_config
                 ).start()
             return self._batcher
 
@@ -277,10 +301,7 @@ class SiteRuntime:
                 config = dict(self._track_config)
                 config.setdefault("bounds", self.definition.bounds)
                 self._sessions = TrackingSessions(
-                    self.service,
-                    clock=self._clock,
-                    name=f"track@{self.site_id}",
-                    **config,
+                    self.service, clock=self._clock, **config
                 ).start()
             return self._sessions
 
@@ -314,18 +335,24 @@ class SiteRuntime:
         info["site"] = self.site_id
         return info
 
+    def drain(self) -> None:
+        """Stop started dispatchers (accepted work finishes first).
+
+        The session store stays readable: tracking reads and closes
+        keep answering from it while a server drains.
+        """
+        with self._lock:
+            started = [d for d in (self._batcher, self._sessions) if d is not None]
+        for dispatcher in started:
+            dispatcher.stop()
+
     def close(self) -> None:
-        """Stop started dispatchers (drains accepted work first)."""
+        """Drain, then refuse any further use of this runtime."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            batcher, sessions = self._batcher, self._sessions
-            self._batcher = self._sessions = self._drift = None
-        if batcher is not None:
-            batcher.stop()
-        if sessions is not None:
-            sessions.stop()
+        self.drain()
 
 
 class _Flight:
@@ -351,8 +378,9 @@ class ModelRegistry:
         temporarily — correctness (never unload in-flight work) beats
         the bound; the overflow is trimmed at the next release.
     default_site:
-        Site the legacy single-site routes alias.  Defaults to the
-        manifest's ``default`` (or the lexicographically first site).
+        Site the unprefixed routes (``/v1/locate``...) alias.  Defaults
+        to the manifest's ``default`` (or the lexicographically first
+        site).
     batch_config / track_config:
         Keyword overrides for each runtime's per-site
         :class:`MicroBatcher` / :class:`TrackingSessions`.
@@ -390,6 +418,9 @@ class ModelRegistry:
         self._batch_config = dict(batch_config or {})
         self._track_config = dict(track_config or {})
         self._service_kwargs = dict(service_kwargs or {})
+        # Ready services the first load adopts instead of building one
+        # (see from_service).
+        self._prebuilt: Dict[str, LocalizationService] = {}
         self._lock = threading.Lock()
         self._resident: "OrderedDict[str, SiteRuntime]" = OrderedDict()
         self._loading: Dict[str, _Flight] = {}
@@ -400,6 +431,25 @@ class ModelRegistry:
         self._loads = 0
         self._evictions = 0
         self._closed = False
+
+    @classmethod
+    def from_service(cls, service: LocalizationService) -> "ModelRegistry":
+        """A one-site registry around an already-built service.
+
+        The site is :func:`one_site_fleet`'s for the service's database.
+        Its first load adopts ``service`` itself — same model,
+        generation and breaker board — so every answer is the service's
+        own; a lone site is never evicted, so it is never rebuilt.
+        """
+        model = service.model()
+        registry = cls(one_site_fleet(
+            model.database_path or model.db,
+            service.algorithm,
+            service.ap_positions,
+            service.bounds,
+        ))
+        registry._prebuilt[registry.default_site] = service
+        return registry
 
     def configure_runtimes(
         self,
@@ -432,6 +482,16 @@ class ModelRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._resident)
+
+    def site_label(self, site_id: str) -> Optional[str]:
+        """The ``site`` label of ``site_id``'s request and dispatcher series.
+
+        None in a one-site fleet: request labels and span attributes
+        then carry no ``site``, and its dispatchers are named ``http``
+        and ``track`` rather than ``http@<site>`` and ``track@<site>``
+        — the series names a one-building server has always exported.
+        """
+        return site_id if len(self._sites) > 1 else None
 
     def resolve(self, site_id: Optional[str]) -> str:
         """Map ``None`` → default site; unknown ids raise."""
@@ -521,19 +581,23 @@ class ModelRegistry:
         definition = self._sites[sid]
         with self._lock:
             base = self._generations.get(sid, 0)
-        service = LocalizationService(
-            definition.database,
-            algorithm=definition.algorithm,
-            ap_positions=definition.ap_positions,
-            bounds=definition.bounds,
-            generation_base=base,
-            **self._service_kwargs,
-        )
+            service = self._prebuilt.pop(sid, None)
+        if service is None:
+            service = LocalizationService(
+                definition.database,
+                algorithm=definition.algorithm,
+                ap_positions=definition.ap_positions,
+                bounds=definition.bounds,
+                generation_base=base,
+                **self._service_kwargs,
+            )
+        label = self.site_label(sid)
+        suffix = "" if label is None else f"@{label}"
         return SiteRuntime(
             definition,
             service,
-            batch_config=self._batch_config,
-            track_config=self._track_config,
+            batch_config={**self._batch_config, "name": "http" + suffix},
+            track_config={**self._track_config, "name": "track" + suffix},
             clock=self._clock,
         )
 
@@ -602,7 +666,7 @@ class ModelRegistry:
         With ``database`` the site's definition is repointed too, so a
         later evict + cold load rebuilds from the *new* pack rather
         than silently reverting.  Live trackers on the site rebind to
-        the fresh generation, exactly like the single-site path.
+        the fresh generation, keeping their filter state where they can.
         """
         with self.lease(site_id) as runtime:
             info = runtime.service.reload(database)
@@ -647,6 +711,18 @@ class ModelRegistry:
             "generations": generations,
             **counters,
         }
+
+    def drain(self) -> None:
+        """Stop every resident runtime's dispatchers, keeping them resident.
+
+        Accepted work finishes first.  Unlike :meth:`close` the registry
+        stays open, so a draining server still answers tracking reads
+        and closes from the session stores.
+        """
+        with self._lock:
+            runtimes = list(self._resident.values())
+        for runtime in runtimes:
+            runtime.drain()
 
     def close(self) -> None:
         """Stop every resident runtime (drains their dispatchers)."""

@@ -103,8 +103,8 @@ class LocalizationService:
         generation_base: int = 0,
     ):
         self.algorithm = algorithm
-        self._ap_positions = ap_positions
-        self._bounds = bounds
+        self.ap_positions = ap_positions
+        self.bounds = bounds
         self._reload_lock = threading.Lock()
         self._model: Optional[_Model] = None
         self._generation = int(generation_base)
@@ -132,14 +132,14 @@ class LocalizationService:
             db = load_database(path)
         kwargs: Dict[str, object] = {}
         if self.algorithm in ("geometric", "multilateration"):
-            if self._ap_positions is None:
+            if self.ap_positions is None:
                 raise ValueError(f"algorithm {self.algorithm!r} needs ap_positions")
-            kwargs["ap_positions"] = self._ap_positions
+            kwargs["ap_positions"] = self.ap_positions
         elif self.algorithm == "fallback":
-            if self._ap_positions is not None:
-                kwargs["ap_positions"] = self._ap_positions
-            if self._bounds is not None:
-                kwargs["bounds"] = self._bounds
+            if self.ap_positions is not None:
+                kwargs["ap_positions"] = self.ap_positions
+            if self.bounds is not None:
+                kwargs["bounds"] = self.bounds
         with obs.span("serve.model_fit", algorithm=self.algorithm):
             localizer = make_localizer(self.algorithm, **kwargs).fit(db)
         if isinstance(localizer, FallbackLocalizer):

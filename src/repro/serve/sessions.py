@@ -475,9 +475,9 @@ class TrackingSessions:
         self.store = SessionStore(
             self.factory.build, capacity=capacity, ttl_s=ttl_s, clock=self.clock
         )
-        # ``name`` distinguishes per-site step dispatchers in a fleet
-        # (``track@<site>``); the default keeps single-site metric
-        # series (``batcher=track``) exactly as before.
+        # ``name`` labels this dispatcher's metric series; a registry
+        # names per-site ones ``track@<site>`` in a fleet of more than
+        # one site.
         self.batcher = MicroBatcher(
             self._step_batch,
             max_batch=max_batch,

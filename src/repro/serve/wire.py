@@ -15,13 +15,13 @@ Observation documents::
       "samples": [[-62.0, null, -71.5], ...],   # sweeps x APs, null = miss
       "bssids": ["00:11:...", ...],             # optional column names
       "deadline_ms": 50,                         # optional, single-locate only
-      "site": "hq-3f"                            # optional site pin (fleet mode)
+      "site": "hq-3f"                            # optional site pin
     }
 
-A document's optional ``site`` member pins it to one building: the
-multi-site routes pass the path's site id as ``expect_site`` and a
-mismatch is a :class:`WireError` (HTTP 400) — a scan surveyed in one
-building must never be scored against another's model.
+A document's optional ``site`` member pins it to one building: every
+served route passes its site's id as ``expect_site`` and a mismatch
+is a :class:`WireError` (HTTP 400) — a scan surveyed in one building
+must never be scored against another's model.
 
 ``null`` (JSON) and ``NaN`` mean the same thing a missed AP means
 everywhere else in the toolkit.  Estimate documents carry the answer
@@ -60,9 +60,9 @@ def observation_from_json(
 
     Raises :class:`WireError` (a ``ValueError``) on any malformed
     payload — the HTTP layer maps it to a 400, never a 500.  With
-    ``expect_site`` set (the fleet routes), a document carrying a
-    ``site`` member must name that site; without it the member is
-    ignored (single-site servers have no fleet to check against).
+    ``expect_site`` set (every served route), a document carrying a
+    ``site`` member must name that site; without it the member is only
+    type-checked.
     """
     if not isinstance(doc, dict):
         raise WireError(f"observation must be a JSON object, got {type(doc).__name__}")

@@ -4,12 +4,13 @@ CPython's GIL caps a single ``repro serve`` process at roughly one
 core of kernel math no matter how many handler threads run.  This
 module is the scale-out answer (``repro serve --workers N``):
 
-* :class:`WorkerSpec` — a picklable recipe for one worker: everything
-  :class:`~repro.serve.service.LocalizationService` and
-  :class:`~repro.serve.http.LocalizationHTTPServer` need to build the
-  same server the single-process path builds.  A frozen model pack
-  (``.tdbx``) makes the N copies cheap: every worker mmaps the same
-  file, so the model occupies one set of physical pages fleet-wide.
+* :class:`WorkerSpec` — a picklable recipe for one worker: the fleet
+  its :class:`~repro.serve.registry.ModelRegistry` serves plus
+  everything :class:`~repro.serve.http.LocalizationHTTPServer` needs
+  to build the same server the single-process path builds.  A frozen
+  model pack (``.tdbx``) makes the N copies cheap: every worker mmaps
+  the same file, so the model occupies one set of physical pages
+  fleet-wide.
 * :func:`worker_main` — the child entry point: fresh metrics registry,
   build, bind with ``SO_REUSEPORT`` (the kernel load-balances accepted
   connections across workers), announce readiness via a rundir file,
@@ -55,9 +56,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro import obs
+from repro.serve.registry import ModelRegistry, SiteDefinition
 
 __all__ = [
     "WorkerSpec",
@@ -79,20 +81,18 @@ class WorkerSpec:
     worker index — N workers with identical fault schedules would beat
     in lockstep).
 
-    With ``sites`` set (a fleet manifest or pack directory), each
-    worker builds a :class:`~repro.serve.registry.ModelRegistry`
-    instead of a single service and ``database`` is ignored.  Frozen
-    ``.tdbx`` packs make the fleet cheap: every worker mmaps the same
-    files, so each resident site occupies one set of physical pages
-    fleet-wide no matter how many workers hold it.
+    ``sites`` is the fleet each worker's
+    :class:`~repro.serve.registry.ModelRegistry` serves: a manifest
+    path, a pack directory, or the site definitions themselves (``repro
+    serve DB`` hands over :func:`~repro.serve.registry.one_site_fleet`).
+    Frozen ``.tdbx`` packs make the fleet cheap: every worker mmaps the
+    same files, so each resident site occupies one set of physical
+    pages fleet-wide no matter how many workers hold it.
     """
 
-    database: str
+    sites: Union[str, Dict[str, SiteDefinition]]
     host: str = "127.0.0.1"
     port: int = 0
-    algorithm: str = "fallback"
-    ap_positions: Optional[dict] = None
-    bounds: Optional[tuple] = None
     breakers: bool = True
     max_batch: int = 64
     max_wait_ms: float = 5.0
@@ -104,8 +104,6 @@ class WorkerSpec:
     session_capacity: int = 10000
     session_ttl_s: float = 300.0
     chaos_kwargs: Optional[dict] = None
-    #: Fleet manifest path (or pack directory) — enables registry mode.
-    sites: Optional[str] = None
     default_site: Optional[str] = None
     site_capacity: int = 8
     #: How often a worker flushes its metrics delta and polls the
@@ -248,9 +246,8 @@ class ControlChannel:
 
 
 def _build_server(spec: WorkerSpec, index: int, rundir: Path):
-    """Build one worker's service + HTTP server from the spec."""
+    """Build one worker's registry + HTTP server from the spec."""
     from repro.serve.http import LocalizationHTTPServer
-    from repro.serve.service import LocalizationService
 
     chaos = None
     if spec.chaos_kwargs:
@@ -260,31 +257,16 @@ def _build_server(spec: WorkerSpec, index: int, rundir: Path):
         if kwargs.get("seed") is not None:
             kwargs["seed"] = int(kwargs["seed"]) + index
         chaos = ChaosPolicy(**kwargs)
-    service = None
-    registry = None
-    if spec.sites is not None:
-        from repro.serve.registry import ModelRegistry
-
-        registry = ModelRegistry(
-            spec.sites,
-            capacity=spec.site_capacity,
-            default_site=spec.default_site,
-            service_kwargs={"breakers": spec.breakers, "chaos": chaos},
-        )
-    else:
-        service = LocalizationService(
-            spec.database,
-            algorithm=spec.algorithm,
-            ap_positions=spec.ap_positions,
-            bounds=spec.bounds,
-            breakers=spec.breakers,
-            chaos=chaos,
-        )
+    registry = ModelRegistry(
+        spec.sites,
+        capacity=spec.site_capacity,
+        default_site=spec.default_site,
+        service_kwargs={"breakers": spec.breakers, "chaos": chaos},
+    )
     fleet = FleetMetrics(rundir, index)
     traces = FleetTraces(rundir, index)
     control = ControlChannel(rundir, index)
     server = LocalizationHTTPServer(
-        service,
         registry=registry,
         host=spec.host,
         port=spec.port,
@@ -304,10 +286,7 @@ def _build_server(spec: WorkerSpec, index: int, rundir: Path):
         trace_source=traces.merged,
         admin_hook=control.originate,
     )
-    # In registry mode the server aliases ``service`` to the pinned
-    # default site's service, so the ready-file model description and
-    # single-site control reloads work unchanged.
-    return server.service, server, fleet, traces, control
+    return server, fleet, traces, control
 
 
 def worker_main(spec: WorkerSpec, index: int, rundir: str) -> int:
@@ -336,7 +315,7 @@ def worker_main(spec: WorkerSpec, index: int, rundir: str) -> int:
             signal.SIGUSR2,
             lambda signum, frame: recorder.dump_jsonl(dump_path),
         )
-    service, server, fleet, traces, control = _build_server(spec, index, rundir_path)
+    server, fleet, traces, control = _build_server(spec, index, rundir_path)
     server.start()
     obs.gauge("serve.fleet.worker_index").set(index)
     _write_atomic(
@@ -345,7 +324,7 @@ def worker_main(spec: WorkerSpec, index: int, rundir: str) -> int:
             "index": index,
             "pid": os.getpid(),
             "port": server.port,
-            "model": service.describe(),
+            "model": server.service.describe(),
         },
     )
     fleet.flush()
@@ -357,17 +336,10 @@ def worker_main(spec: WorkerSpec, index: int, rundir: str) -> int:
             cmd = event.get("cmd")
             try:
                 if cmd == "reload":
-                    if server.registry is not None:
-                        # Per-site fan-out: every worker reloads the
-                        # named site (or the default) through its own
-                        # registry, which also rebinds that site's
-                        # tracking sessions.
-                        server.registry.reload(
-                            event.get("site"), event.get("database")
-                        )
-                    else:
-                        service.reload(event.get("database"))
-                        server.sessions.rebind()
+                    # Per-site fan-out: every worker reloads the named
+                    # site (or the default) through its own registry,
+                    # which also rebinds that site's tracking sessions.
+                    server.registry.reload(event.get("site"), event.get("database"))
                 elif cmd == "drain":
                     deadline = event.get("deadline_s")
                     threading.Thread(

@@ -109,6 +109,7 @@ class TestEndpoints:
         assert status == 200 and report["status"] == "ok"
         assert set(report["checks"]) == {
             "model", "dispatcher", "queue", "breakers", "sessions", "lifecycle",
+            "registry",
         }
         assert report["checks"]["sessions"]["detail"]["active"] == 0
         assert report["checks"]["model"]["detail"]["algorithm"] == "fallback"
@@ -444,11 +445,8 @@ class TestTrackingSessionsHTTP:
         assert "POST /v1/track/{session}" in card["endpoints"]
 
     def test_ttl_expiry_over_http(self, service, observations):
-        from repro.serve import TrackingSessions
-
         clock = ManualClock()
-        sessions = TrackingSessions(service, ttl_s=30.0, clock=clock)
-        with LocalizationHTTPServer(service, sessions=sessions) as server:
+        with LocalizationHTTPServer(service, clock=clock, session_ttl_s=30.0) as server:
             url = server.url + "/v1/track/dev-1"
             status, _, _ = request(url, "POST", observation_doc(observations[0]))
             assert status == 200

@@ -33,7 +33,7 @@ import pytest
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FlightRecorder, TraceContext
-from repro.serve import LocalizationHTTPServer, LocalizationService
+from repro.serve import LocalizationHTTPServer, LocalizationService, SiteDefinition
 from repro.serve.workers import (
     ControlChannel,
     FleetMetrics,
@@ -186,9 +186,12 @@ def test_control_channel_restart_ignores_history(tmp_path):
 
 def test_worker_spec_pickles(house):
     spec = WorkerSpec(
-        database="/tmp/m.tdbx",
-        ap_positions=house.ap_positions_by_bssid(),
-        bounds=(0.0, 0.0, 40.0, 30.0),
+        sites={"m": SiteDefinition(
+            "m",
+            "/tmp/m.tdbx",
+            ap_positions=house.ap_positions_by_bssid(),
+            bounds=(0.0, 0.0, 40.0, 30.0),
+        )},
         chaos_kwargs={"seed": 7, "latency_ms": 5.0},
     )
     assert pickle.loads(pickle.dumps(spec)) == spec
@@ -196,7 +199,7 @@ def test_worker_spec_pickles(house):
 
 def test_supervisor_rejects_zero_workers(tmp_path):
     with pytest.raises(ValueError, match="workers"):
-        Supervisor(WorkerSpec(database="x"), 0, rundir=str(tmp_path))
+        Supervisor(WorkerSpec(sites="x"), 0, rundir=str(tmp_path))
 
 
 # ----------------------------------------------------------------------
