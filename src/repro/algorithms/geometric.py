@@ -25,11 +25,19 @@ Two details the paper leaves implicit, resolved here explicitly:
 
 The pairing is the paper's ring ``(1,2), (2,3), …, (n,1)`` over the APs
 ordered as configured, generalized to any ``n ≥ 3``.
+
+Phase 2 runs as one array kernel over a batch: rows are grouped by
+heard-AP mask (a group shares its ring, centres and concentric pairs)
+and every step — ring intersection, the fallback point, candidate
+scoring, the median and the radial residual — is a whole-array pass.
+:meth:`GeometricLocalizer.locate` is that kernel on one row.  The scalar
+helpers in :mod:`repro.core.geometry` remain the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,15 +48,109 @@ from repro.algorithms.base import (
     invalid_estimate,
     register_algorithm,
 )
-from repro.algorithms.regression import FitResult, PackedRanging, fit_per_ap
-from repro.core.geometry import (
-    Circle,
-    Point,
-    best_circle_intersection,
-    geometric_median,
-    median_point,
+from repro.algorithms.regression import (
+    FitResult,
+    PackedRanging,
+    fit_per_ap,
+    heard_groups,
 )
+from repro.core.geometry import Point, geometric_median
 from repro.core.trainingdb import TrainingDatabase
+
+#: ``circle_intersections``' length tolerance (tangency, concentricity).
+_TOL = 1e-9
+
+#: Signs of the half-chord offset giving a crossing pair's two points.
+_CHORD_ENDS = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
+
+
+def _median_rows(points: np.ndarray) -> np.ndarray:
+    """``(G, k, 2)`` → ``(G, 2)`` componentwise medians (``median_point``)."""
+    ordered = np.sort(points, axis=1)
+    k = ordered.shape[1]
+    if k % 2:
+        return ordered[:, k // 2]
+    return (ordered[:, k // 2 - 1] + ordered[:, k // 2]) / 2.0
+
+
+def _geometric_median_rows(points: np.ndarray) -> np.ndarray:
+    """``(G, k, 2)`` → ``(G, 2)`` Weiszfeld medians, row by row (ablation)."""
+    return np.array(
+        [tuple(geometric_median([Point(x, y) for x, y in row])) for row in points.tolist()]
+    )
+
+
+class _Ring:
+    """The ring constants of one heard-AP mask, and its per-row geometry.
+
+    Built from the ``(n, 2)`` centres of the heard APs (ring order).
+    Pairs ``(i, i+1 mod n)`` whose centres coincide (gap ≤ 1e-12) have
+    no usable point and are dropped, as ``best_circle_intersection``
+    drops them; ``k`` pairs remain.
+    """
+
+    def __init__(self, centers: np.ndarray):
+        n = len(centers)
+        first = np.arange(n)
+        second = (first + 1) % n
+        others = np.array(
+            [[j for j in range(n) if j not in (i, (i + 1) % n)] for i in range(n)],
+            dtype=np.intp,
+        ).reshape(n, n - 2)
+        delta = centers[second] - centers[first]
+        gap = np.hypot(delta[:, 0], delta[:, 1])
+        keep = gap > 1e-12
+        self.centers = centers
+        self.first, self.second, self.others = first[keep], second[keep], others[keep]
+        self.gap = gap[keep]  # (k,)
+        self.start = centers[self.first]  # (k, 2)
+        self.unit = delta[keep] / self.gap[:, None]  # (k, 2), first → second
+        self.normal = self.unit[:, ::-1] * np.array([-1.0, 1.0])  # unit turned +90°
+        self.other_centers = centers[self.others]  # (k, n-2, 2)
+
+    def __len__(self) -> int:
+        return len(self.gap)
+
+    def points(self, radii: np.ndarray) -> np.ndarray:
+        """``(G, n)`` radii → ``(G, k, 2)``: one chosen point per pair.
+
+        Elementwise ``best_circle_intersection`` over every pair of
+        every row: where the circles cross, the chord's two points;
+        at tangency, the foot of the chord; otherwise the least-squares
+        point on the line of centres (the middle of the gap, or past
+        the nested circle).  Of two crossing points the one with the
+        smaller total radial residual against the pair's other circles
+        wins (the first on a tie) — in the paper's house the wrong one
+        lies outside the building, far from the remaining circles.
+        """
+        gap = self.gap
+        r1, r2 = radii[:, self.first], radii[:, self.second]  # (G, k)
+        spread = np.abs(r1 - r2)
+        miss = (gap <= _TOL) | (gap > r1 + r2 + _TOL) | (gap < spread - _TOL)
+        r1_sq = r1 * r1
+        chord = (gap * gap + r1_sq - r2 * r2) / (2.0 * gap)
+        h_sq = r1_sq - chord * chord
+        scale = np.maximum(np.maximum(np.maximum(1.0, r1), r2), gap)
+        crossing = ~miss & (h_sq > (_TOL * scale) ** 2)
+        outer = gap + r1
+        along = np.where(
+            miss,
+            np.where(
+                gap >= spread,
+                (outer - r2) / 2.0,
+                np.where(r1 > r2, (outer + r2) / 2.0, (gap - r1 - r2) / 2.0),
+            ),
+            chord,
+        )
+        point = self.start + self.unit * along[..., None]  # (G, k, 2)
+        offset = self.normal * np.sqrt(np.maximum(0.0, h_sq))[..., None]
+        cands = point + offset * _CHORD_ENDS  # (2, G, k, 2)
+        to_others = cands[..., None, :] - self.other_centers  # (2, G, k, n-2, 2)
+        score = np.abs(
+            np.hypot(to_others[..., 0], to_others[..., 1]) - radii[:, self.others]
+        ).sum(axis=-1)  # (2, G, k)
+        pick = np.where((score[1] < score[0])[..., None], cands[1], cands[0])
+        return np.where(crossing[..., None], pick, point)
 
 
 @register_algorithm("geometric")
@@ -69,10 +171,11 @@ class GeometricLocalizer(Localizer):
         point; the paper's protocol uses 4).
     """
 
+    #: ``(G, k, 2)`` ring points → ``(G, 2)`` position, per aggregator.
     _AGGREGATORS = {
-        "median": median_point,
-        "geometric_median": geometric_median,
-        "centroid": lambda pts: sum(pts[1:], pts[0]) / len(pts),
+        "median": _median_rows,
+        "geometric_median": _geometric_median_rows,
+        "centroid": lambda pts: pts.sum(axis=1) / pts.shape[1],
     }
 
     def __init__(
@@ -95,6 +198,8 @@ class GeometricLocalizer(Localizer):
         self._fits: Optional[Dict[str, FitResult]] = None
         self._bssids: Optional[List[str]] = None
         self._packed: Optional[PackedRanging] = None
+        self._centers: Optional[np.ndarray] = None
+        self._rings: Dict[bytes, _Ring] = {}
 
     # ------------------------------------------------------------------
     def fit(self, db: TrainingDatabase) -> "GeometricLocalizer":
@@ -117,6 +222,10 @@ class GeometricLocalizer(Localizer):
             frozen if frozen is not None
             else PackedRanging.from_fits(self._fits, self._bssids)
         )
+        self._centers = np.array(
+            [[self.ap_positions[b].x, self.ap_positions[b].y] for b in self._packed.bssids]
+        )
+        self._rings = {}
         return self
 
     @property
@@ -128,18 +237,7 @@ class GeometricLocalizer(Localizer):
     # ------------------------------------------------------------------
     def estimate_distances(self, observation: Observation) -> Dict[str, float]:
         """Phase-2 step 1: observed SS vector → per-AP distances (ft)."""
-        self._check_fitted("_fits")
-        observation = self._aligned(observation, self._bssids)
-        obs = observation.mean_rssi()
-        if obs.shape[0] != len(self._bssids):
-            raise ValueError(
-                f"observation has {obs.shape[0]} AP columns, "
-                f"training had {len(self._bssids)}"
-            )
-        return self._distances_from_row(self._packed.distances(obs[None, :])[0])
-
-    def _distances_from_row(self, row: np.ndarray) -> Dict[str, float]:
-        """One packed-ranging row → BSSID→distance dict (training order)."""
+        row = self.estimate_distance_matrix([observation])[0]
         return {
             b: float(row[f])
             for f, b in enumerate(self._packed.bssids)
@@ -160,78 +258,67 @@ class GeometricLocalizer(Localizer):
             )
         return self._packed.distances(obs_rows)
 
-    def _pick_candidate(
-        self, candidates: Sequence[Point], others: Sequence[Circle]
-    ) -> Point:
-        """Disambiguate a circle pair's two intersections.
-
-        The paper's house has the APs at the corners, so the wrong
-        intersection lies outside the building and far from the other
-        circles; scoring by total radial residual against the remaining
-        circles picks the right one without needing explicit bounds.
-        """
-        if len(candidates) == 1 or not others:
-            return candidates[0]
-        best, best_score = candidates[0], float("inf")
-        for cand in candidates:
-            score = sum(abs(c.center.distance_to(cand) - c.radius) for c in others)
-            if score < best_score:
-                best, best_score = cand, score
-        return best
-
     def locate(self, observation: Observation) -> LocationEstimate:
-        self._check_fitted("_fits")
-        return self._locate_from_distances(self.estimate_distances(observation))
+        return self._locate_chunk([observation])[0]
 
-    def _locate_from_distances(self, distances: Dict[str, float]) -> LocationEstimate:
-        """Phase-2 steps 2-4 from the ranged distances (shared by both paths)."""
-        if len(distances) < self.min_aps:
-            return invalid_estimate(
-                f"only {len(distances)} ranged AP(s)", distances=distances
-            )
+    def _ring(self, cols: np.ndarray) -> _Ring:
+        """The ring of one heard-AP mask, built once and kept.
 
-        # Ring order: configured AP order restricted to the ranged set.
-        order = [b for b in self._bssids if b in distances]
-        circles = [Circle(self.ap_positions[b], distances[b]) for b in order]
-
-        intersections: List[Point] = []
-        n = len(circles)
-        for i in range(n):
-            c1, c2 = circles[i], circles[(i + 1) % n]
-            others = [circles[k] for k in range(n) if k != i and k != (i + 1) % n]
-            candidates = best_circle_intersection(c1, c2)
-            if not candidates:
-                continue  # concentric centers: no usable point
-            intersections.append(self._pick_candidate(candidates, others))
-
-        if len(intersections) < 2:
-            return invalid_estimate(
-                "fewer than 2 circle-pair intersections", distances=distances
-            )
-        position = self._AGGREGATORS[self.aggregator](intersections)
-        residual = float(
-            np.mean([abs(c.center.distance_to(position) - c.radius) for c in circles])
-        )
-        return LocationEstimate(
-            position=position,
-            location_name=None,
-            score=-residual,
-            valid=True,
-            details={
-                "distances": distances,
-                "intersections": intersections,
-                "mean_radial_residual_ft": residual,
-            },
-        )
+        A deployment hears a handful of distinct masks, so the cache
+        stays tiny; it is dropped wholesale if it ever grows large.
+        Concurrent callers need no lock: a race only builds the same
+        immutable ring twice.
+        """
+        key = cols.tobytes()
+        ring = self._rings.get(key)
+        if ring is None:
+            if len(self._rings) >= 1024:
+                self._rings = {}
+            ring = self._rings[key] = _Ring(self._centers[cols])
+        return ring
 
     def _locate_chunk(self, observations):
-        """Vectorized chunk kernel (identical answers to :meth:`locate`).
+        """Phase 2 for a chunk of observations, as whole-array passes.
 
-        The expensive part — per-AP bisection inversion — runs as one
-        packed ``(M, F)`` pass; the cheap circle-intersection geometry
-        then consumes per-row distance dicts identical to the scalar
-        path's, so every downstream float matches bit for bit.
+        Ranging is one closed-form ``(M, F)`` pass; the rows are then
+        grouped by heard-AP mask and each group's ring geometry runs
+        over all its rows at once.  :meth:`locate` is this kernel on
+        one row, so single and batched answers agree bit for bit.
         """
-        self._check_fitted("_fits")
-        rows = self.estimate_distance_matrix(observations)
-        return [self._locate_from_distances(self._distances_from_row(row)) for row in rows]
+        dist = self.estimate_distance_matrix(observations)
+        out: List[Optional[LocationEstimate]] = [None] * len(dist)
+        for cols, rows in heard_groups(dist):
+            radii = dist[rows][:, cols]
+            bssids = [self._packed.bssids[f] for f in cols]
+            ranged = [dict(zip(bssids, r)) for r in radii.tolist()]
+            if len(cols) < self.min_aps:
+                reason = f"only {len(cols)} ranged AP(s)"
+            else:
+                ring = self._ring(cols)
+                reason = None if len(ring) >= 2 else "fewer than 2 circle-pair intersections"
+            if reason is not None:
+                for i, distances in zip(rows, ranged):
+                    out[i] = invalid_estimate(reason, distances=distances)
+                continue
+            points = ring.points(radii)
+            position = self._AGGREGATORS[self.aggregator](points)
+            # Mean radial residual of the answer against every circle.
+            to_centers = ring.centers - position[:, None, :]  # (G, n, 2)
+            residual = np.abs(
+                np.hypot(to_centers[..., 0], to_centers[..., 1]) - radii
+            ).mean(axis=1)
+            for i, distances, pos, pts, res in zip(
+                rows, ranged, position.tolist(), points.tolist(), residual.tolist()
+            ):
+                out[i] = LocationEstimate(
+                    position=Point(*pos),
+                    location_name=None,
+                    score=-res,
+                    valid=True,
+                    details={
+                        "distances": distances,
+                        "intersections": [Point(x, y) for x, y in pts],
+                        "mean_radial_residual_ft": res,
+                    },
+                )
+        return out

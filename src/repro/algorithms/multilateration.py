@@ -14,20 +14,26 @@ others linearizes the system:
 
 which is solved in the least-squares sense, optionally followed by a
 few Gauss–Newton refinement steps on the true nonlinear residuals.
+Both solves take the minimum-norm least-squares answer (a stacked
+pseudo-inverse), so collinear anchors still give the point on their
+line rather than failing on a singular system.
 
-Two front ends share the solver:
+Two front ends share the solver, which runs over a stack of rows that
+share their anchors:
 
 * :class:`MultilaterationLocalizer` — an RSSI localizer (fits per-AP
   inverse-square models like §5.2 but replaces the circle/median
   construction with least squares); the natural ablation against the
-  paper's hand-rolled geometry.
+  paper's hand-rolled geometry.  A batch is grouped by heard-AP mask
+  and each group is one stacked solve; :meth:`~MultilaterationLocalizer.locate`
+  is that kernel on one row.
 * :func:`solve_multilateration` — raw anchors+ranges, used by the UWB
   extension (§6.3) where ranges come from time-of-arrival.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +43,61 @@ from repro.algorithms.base import (
     Observation,
     register_algorithm,
 )
-from repro.algorithms.regression import FitResult, PackedRanging, fit_per_ap
+from repro.algorithms.regression import (
+    FitResult,
+    PackedRanging,
+    fit_per_ap,
+    heard_groups,
+)
 from repro.core.geometry import Point
 from repro.core.trainingdb import TrainingDatabase
+
+
+def _least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares per stacked system: ``(G, m, 2), (G, m) → (G, 2)``.
+
+    The cutoff for small singular values is ``np.linalg.lstsq``'s default.
+    """
+    rcond = max(design.shape[-2:]) * np.finfo(float).eps
+    return (np.linalg.pinv(design, rcond=rcond) * target[:, None, :]).sum(axis=-1)
+
+
+def _multilaterate(
+    anchors: np.ndarray, ranges: np.ndarray, refine_iterations: int = 3
+) -> np.ndarray:
+    """``(n, 2)`` anchors and ``(G, n)`` ranges → ``(G, 2)`` positions.
+
+    Each row is linearized against its own reference anchor (the one
+    with the shortest range, the most trustworthy circle), solved, then
+    refined by Gauss–Newton on the nonlinear range residuals.
+    """
+    n = len(anchors)
+    g = np.arange(len(ranges))[:, None]
+    ref = np.argmin(ranges, axis=1)  # (G,)
+    rest = np.array(
+        [[j for j in range(n) if j != r] for r in range(n)], dtype=np.intp
+    )[ref]  # (G, n-1)
+    ref_xy, rest_xy = anchors[ref], anchors[rest]
+    design = 2.0 * (rest_xy - ref_xy[:, None, :])
+    target = (
+        ranges[g, ref[:, None]] ** 2
+        - ranges[g, rest] ** 2
+        + (rest_xy**2).sum(axis=-1)
+        - (ref_xy**2).sum(axis=-1)[:, None]
+    )
+    est = _least_squares(design, target)
+    for _ in range(refine_iterations):
+        diff = est[:, None, :] - anchors  # (G, n, 2)
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        jac = diff / np.maximum(dist, 1e-9)[..., None]
+        est = est - _least_squares(jac, dist - ranges)
+    return est
+
+
+def _rms_residual(anchors: np.ndarray, ranges: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """``(G,)`` RMS range residual of each row's position."""
+    dist = np.hypot(anchors[:, 0] - est[:, 0, None], anchors[:, 1] - est[:, 1, None])
+    return np.sqrt(((dist - ranges) ** 2).mean(axis=1))
 
 
 def solve_multilateration(
@@ -51,7 +109,8 @@ def solve_multilateration(
 
     Linearized least squares (reference anchor = the one with the
     shortest range, the most trustworthy circle), then Gauss–Newton
-    refinement of the nonlinear range residuals.
+    refinement of the nonlinear range residuals — the batched solver
+    on one row.
     """
     if len(anchors) != len(ranges_ft):
         raise ValueError(f"{len(anchors)} anchors vs {len(ranges_ft)} ranges")
@@ -61,35 +120,15 @@ def solve_multilateration(
     d = np.asarray(ranges_ft, dtype=float)
     if (d < 0).any() or not np.isfinite(d).all():
         raise ValueError(f"ranges must be finite and non-negative, got {d}")
-
-    r = int(np.argmin(d))  # reference anchor
-    others = [i for i in range(len(anchors)) if i != r]
-    A = 2.0 * (xy[others] - xy[r][None, :])
-    b = (
-        d[r] ** 2
-        - d[others] ** 2
-        + (xy[others] ** 2).sum(axis=1)
-        - (xy[r] ** 2).sum()
-    )
-    est, *_ = np.linalg.lstsq(A, b, rcond=None)
-
-    for _ in range(refine_iterations):
-        diff = est[None, :] - xy  # (n, 2)
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        safe = np.maximum(dist, 1e-9)
-        resid = dist - d
-        jac = diff / safe[:, None]
-        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        est = est - step
-    return Point(float(est[0]), float(est[1]))
+    x, y = _multilaterate(xy, d[None, :], refine_iterations)[0].tolist()
+    return Point(x, y)
 
 
 def residual_rms(anchors: Sequence[Point], ranges_ft: Sequence[float], p: Point) -> float:
     """RMS range residual at ``p`` — the solver's goodness-of-fit."""
     xy = np.array([[a.x, a.y] for a in anchors], dtype=float)
     d = np.asarray(ranges_ft, dtype=float)
-    dist = np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y)
-    return float(np.sqrt(((dist - d) ** 2).mean()))
+    return float(_rms_residual(xy, d[None, :], np.array([[p.x, p.y]]))[0])
 
 
 @register_algorithm("multilateration")
@@ -112,6 +151,7 @@ class MultilaterationLocalizer(Localizer):
         self._fits: Optional[Dict[str, FitResult]] = None
         self._bssids: Optional[List[str]] = None
         self._packed: Optional[PackedRanging] = None
+        self._anchors: Optional[np.ndarray] = None
 
     def fit(self, db: TrainingDatabase) -> "MultilaterationLocalizer":
         self._bssids = list(db.bssids)
@@ -129,51 +169,21 @@ class MultilaterationLocalizer(Localizer):
             frozen if frozen is not None
             else PackedRanging.from_fits(self._fits, self._bssids)
         )
+        self._anchors = np.array(
+            [[self.ap_positions[b].x, self.ap_positions[b].y] for b in self._packed.bssids]
+        )
         return self
 
     def locate(self, observation: Observation) -> LocationEstimate:
-        self._check_fitted("_fits")
-        observation = self._aligned(observation, self._bssids)
-        obs = observation.mean_rssi()
-        if obs.shape[0] != len(self._bssids):
-            raise ValueError(
-                f"observation has {obs.shape[0]} AP columns, "
-                f"training had {len(self._bssids)}"
-            )
-        return self._locate_from_row(self._packed.distances(obs[None, :])[0])
-
-    def _locate_from_row(self, row: np.ndarray) -> LocationEstimate:
-        """One packed-ranging row → estimate (shared by both paths)."""
-        anchors: List[Point] = []
-        ranges: List[float] = []
-        used: List[str] = []
-        for f, bssid in enumerate(self._packed.bssids):
-            if not np.isfinite(row[f]):
-                continue
-            anchors.append(self.ap_positions[bssid])
-            ranges.append(float(row[f]))
-            used.append(bssid)
-        if len(anchors) < self.min_aps:
-            return LocationEstimate(
-                position=None,
-                valid=False,
-                details={"reason": f"only {len(anchors)} ranged AP(s)"},
-            )
-        position = solve_multilateration(anchors, ranges)
-        rms = residual_rms(anchors, ranges, position)
-        return LocationEstimate(
-            position=position,
-            score=-rms,
-            valid=True,
-            details={"ranges_ft": dict(zip(used, ranges)), "residual_rms_ft": rms},
-        )
+        return self._locate_chunk([observation])[0]
 
     def _locate_chunk(self, observations):
-        """Vectorized chunk kernel (identical answers to :meth:`locate`).
+        """Phase 2 for a chunk of observations, one stacked solve per mask.
 
-        Ranging runs as one packed ``(M, F)`` bisection pass; the
-        per-observation least-squares solve then sees exactly the
-        anchors/ranges the scalar path would have built.
+        Ranging is one closed-form ``(M, F)`` pass; rows that heard the
+        same APs then share their anchors and are solved together.
+        :meth:`locate` is this kernel on one row, so single and batched
+        answers agree bit for bit.
         """
         self._check_fitted("_fits")
         obs_rows = self._mean_rows(observations, self._bssids)
@@ -182,5 +192,27 @@ class MultilaterationLocalizer(Localizer):
                 f"observation has {obs_rows.shape[1]} AP columns, "
                 f"training had {len(self._bssids)}"
             )
-        rows = self._packed.distances(obs_rows)
-        return [self._locate_from_row(row) for row in rows]
+        dist = self._packed.distances(obs_rows)
+        out: List[Optional[LocationEstimate]] = [None] * len(dist)
+        for cols, rows in heard_groups(dist):
+            if len(cols) < self.min_aps:
+                for i in rows:
+                    out[i] = LocationEstimate(
+                        position=None,
+                        valid=False,
+                        details={"reason": f"only {len(cols)} ranged AP(s)"},
+                    )
+                continue
+            anchors = self._anchors[cols]
+            ranges = dist[np.ix_(rows, cols)]
+            est = _multilaterate(anchors, ranges)
+            rms = _rms_residual(anchors, ranges, est)
+            used = [self._packed.bssids[f] for f in cols]
+            for i, pos, r, res in zip(rows, est.tolist(), ranges.tolist(), rms.tolist()):
+                out[i] = LocationEstimate(
+                    position=Point(*pos),
+                    score=-res,
+                    valid=True,
+                    details={"ranges_ft": dict(zip(used, r)), "residual_rms_ft": res},
+                )
+        return out

@@ -15,13 +15,17 @@ alternative ``RSSI = p₀ − 10·n·log₁₀(d)`` used by the ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.geometry import Point
 from repro.core.trainingdb import TrainingDatabase
-from repro.radio.pathloss import InverseSquareModel, dbm_to_ss_units
+from repro.radio.pathloss import (
+    InverseSquareModel,
+    dbm_to_ss_units,
+    invert_inverse_square,
+)
 
 __all__ = [
     "FitResult",
@@ -30,6 +34,7 @@ __all__ = [
     "fit_inverse_square",
     "fit_log_distance",
     "fit_per_ap",
+    "heard_groups",
 ]
 
 
@@ -131,12 +136,13 @@ def fit_log_distance(distances_ft: np.ndarray, rssi_dbm: np.ndarray) -> LogDista
 class PackedRanging:
     """Every fitted AP's inversion constants, packed into arrays.
 
-    Built once at fit time from a ``fit_per_ap`` result, this moves the
-    per-call work of ``InverseSquareModel.invert`` — branch endpoints,
-    endpoint signal strengths, the 80-step bisection — into a single
-    ``(M, n_fitted)`` vectorized pass.  Every elementwise operation
-    mirrors ``_invert_scalar`` exactly (same expressions, same branch
-    precedence), so the packed inversion is bit-for-bit identical to
+    Built once at fit time from a ``fit_per_ap`` result, this hoists the
+    per-model constants of ``InverseSquareModel.invert`` — coefficients,
+    branch endpoints, endpoint signal strengths — into arrays, so one
+    call of the shared closed form
+    (:func:`~repro.radio.pathloss.invert_inverse_square`) ranges a whole
+    ``(M, n_fitted)`` matrix.  Both paths run that same function on the
+    same constants, so the packed inversion is bit-for-bit identical to
     calling the scalar model per entry.
     """
 
@@ -171,39 +177,41 @@ class PackedRanging:
 
     def invert_matrix(self, ss: np.ndarray) -> np.ndarray:
         """``(M, F)`` signal strengths → ``(M, F)`` distances (ft)."""
-        ss = np.asarray(ss, dtype=float)
-        lo = np.broadcast_to(self.lo, ss.shape).copy()
-        hi = np.broadcast_to(self.hi, ss.shape).copy()
-        degenerate = self.ss_lo <= self.ss_hi  # (F,) broadcast over rows
-        clamp_lo = ss >= self.ss_lo
-        clamp_hi = ss <= self.ss_hi
-        active = ~(degenerate | clamp_lo | clamp_hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            d = np.maximum(mid, 1e-6)
-            go_lo = (self.a / d**2 + self.b / d + self.c) > ss
-            lo = np.where(active & go_lo, mid, lo)
-            hi = np.where(active & ~go_lo, mid, hi)
-        out = 0.5 * (lo + hi)
-        # Same precedence as _invert_scalar: degenerate branch first,
-        # then the hot-signal clamp, then the weak-signal clamp.
-        out = np.where(clamp_lo, np.broadcast_to(self.lo, ss.shape), out)
-        out = np.where(clamp_hi & ~clamp_lo, np.broadcast_to(self.hi, ss.shape), out)
-        return np.where(degenerate, 0.5 * (self.lo + self.hi), out)
+        return invert_inverse_square(
+            ss, self.a, self.b, self.c, self.lo, self.hi, self.ss_lo, self.ss_hi
+        )
 
     def distances(self, obs_rows: np.ndarray) -> np.ndarray:
         """``(M, A)`` aligned mean dBm rows → ``(M, F)`` ranged distances.
 
         NaN marks (observation, AP) pairs that cannot be ranged (AP not
-        heard).  Heard entries match the scalar path bit for bit:
+        heard): a NaN mean ranges to NaN.  Heard entries match the scalar
+        path bit for bit:
         ``float(model.invert(float(dbm_to_ss_units(obs[j]))))``.
         """
-        sub = obs_rows[:, self.columns]
-        heard = np.isfinite(sub)
-        # Park unheard entries at the dBm floor (0 SS after conversion)
-        # so no NaN enters the bisection; they are masked back out below.
-        ss = dbm_to_ss_units(np.where(heard, sub, -200.0))
-        return np.where(heard, self.invert_matrix(ss), np.nan)
+        return self.invert_matrix(dbm_to_ss_units(obs_rows[:, self.columns]))
+
+
+def heard_groups(distances: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Split ``(M, F)`` ranged rows by heard-AP mask.
+
+    Yields ``(columns, rows)``: the finite (heard) column indices shared
+    by a group and the row indices in it.  Rows that share a mask share
+    every per-AP constant of Phase 2 (anchor centres, ring pairs), so
+    the ranging localizers build those once per group and run the rest
+    as whole-array passes.
+    """
+    heard = np.isfinite(distances)
+    if len(heard) == 1:
+        yield np.flatnonzero(heard[0]), np.zeros(1, dtype=np.intp)
+        return
+    # One opaque byte-string key per row: a 1-D unique, not a row-wise one.
+    bits = np.packbits(heard, axis=1)
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    for g, row in enumerate(first):
+        yield np.flatnonzero(heard[row]), np.flatnonzero(inverse == g)
 
 
 def fit_per_ap(

@@ -109,6 +109,47 @@ class LogDistanceModel:
         return self.ref_distance_ft * 10.0 ** ((loss - self.ref_loss_db) / (10.0 * self.exponent))
 
 
+def invert_inverse_square(
+    ss: ArrayLike,
+    a: ArrayLike,
+    b: ArrayLike,
+    c: ArrayLike,
+    lo: ArrayLike,
+    hi: ArrayLike,
+    ss_lo: ArrayLike,
+    ss_hi: ArrayLike,
+) -> np.ndarray:
+    """Closed-form inversion of ``SS = a/d² + b/d + c`` on its monotone branch.
+
+    ``[lo, hi]`` is the branch (:meth:`InverseSquareModel.monotone_branch`)
+    and ``ss_lo``/``ss_hi`` the signal strengths at its ends; every
+    argument broadcasts, so one call inverts a scalar or a whole
+    ``(M, F)`` matrix against per-column coefficients.  In ``u = 1/d``
+    the model is the quadratic ``a·u² + b·u + (c − SS) = 0``; the branch
+    root is the one with ``2a·u + b ≥ 0``, taken without cancellation:
+
+    * ``b ≥ 0``: ``u = 2(SS − c) / (b + √D)`` (also the linear case a → 0);
+    * ``b < 0``: ``u = (√D − b) / (2a)``;
+
+    with ``D = b² + 4a(SS − c)`` floored at 0, and ``d = 1/u`` clipped
+    to ``[lo, hi]``.  Precedence: a degenerate branch (``ss_lo ≤ ss_hi``,
+    no decrease to invert) answers its midpoint, the least-wrong total
+    answer; then a hot signal (``SS ≥ ss_lo``) clamps to ``lo``, then a
+    weak one (``SS ≤ ss_hi``) to ``hi``.  NaN (no reading) stays NaN.
+    """
+    ss = np.asarray(ss, dtype=float)
+    # Entries the precedence rules overwrite (the unused root form, the
+    # degenerate and clamped entries) may divide by zero or overflow.
+    with np.errstate(all="ignore"):
+        excess = ss - c
+        sqrt_disc = np.sqrt(np.maximum(b * b + 4.0 * a * excess, 0.0))
+        u = np.where(b >= 0.0, 2.0 * excess / (b + sqrt_disc), (sqrt_disc - b) / (2.0 * a))
+        out = np.clip(1.0 / u, lo, hi)
+    out = np.where(ss <= ss_hi, hi, out)
+    out = np.where(ss >= ss_lo, lo, out)
+    return np.where((ss_lo <= ss_hi) & ~np.isnan(ss), 0.5 * (lo + hi), out)
+
+
 @dataclass(frozen=True)
 class InverseSquareModel:
     """The paper's fitted form: ``SS = a/d² + b/d + c`` (SS units, d in ft).
@@ -122,9 +163,11 @@ class InverseSquareModel:
     the ``1/d²`` term).  :meth:`invert` therefore restricts itself to
     the **monotone-decreasing branch** inside ``[min_distance,
     max_distance]`` — the physically meaningful one, since all usable
-    ranging happens beyond the near-field peak — and bisects on it;
-    signal strengths outside the branch's range clamp to the branch
-    endpoints (hot signal → near edge, weak signal → far edge).
+    ranging happens beyond the near-field peak — and solves the model's
+    quadratic in ``1/d`` there in closed form
+    (:func:`invert_inverse_square`); signal strengths outside the
+    branch's range clamp to the branch endpoints (hot signal → near
+    edge, weak signal → far edge).
     """
 
     a: float
@@ -159,33 +202,15 @@ class InverseSquareModel:
         return lo, hi
 
     def invert(self, ss: ArrayLike) -> np.ndarray:
-        """Distance estimate for observed signal strength (SS units)."""
-        ss_arr = np.atleast_1d(np.asarray(ss, dtype=float))
-        out = np.empty_like(ss_arr)
-        for i, s in enumerate(ss_arr):
-            out[i] = self._invert_scalar(float(s))
-        if np.isscalar(ss) or getattr(ss, "ndim", 1) == 0:
-            return out[0]
-        return out.reshape(np.shape(ss))
+        """Distance estimate for observed signal strength (SS units).
 
-    def _invert_scalar(self, s: float) -> float:
+        NaN in, NaN out: a missing reading has no distance.
+        """
         lo, hi = self.monotone_branch()
-        ss_lo, ss_hi = float(self.ss(lo)), float(self.ss(hi))
-        if ss_lo <= ss_hi:
-            # Degenerate (non-decreasing even on the branch): midpoint is
-            # the least-wrong total answer.
-            return 0.5 * (lo + hi)
-        if s >= ss_lo:
-            return lo
-        if s <= ss_hi:
-            return hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(self.ss(mid)) > s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        out = invert_inverse_square(
+            ss, self.a, self.b, self.c, lo, hi, float(self.ss(lo)), float(self.ss(hi))
+        )
+        return out[()] if out.ndim == 0 else out
 
     @property
     def coefficients(self) -> Tuple[float, float, float]:

@@ -17,7 +17,7 @@ from repro.algorithms.regression import (
     fit_log_distance,
     fit_per_ap,
 )
-from repro.core.geometry import Point
+from repro.core.geometry import Circle, Point, best_circle_intersection, median_point
 from repro.core.trainingdb import LocationRecord, TrainingDatabase
 from repro.radio.pathloss import dbm_to_ss_units
 
@@ -197,6 +197,140 @@ class TestGeometricLocalizer:
             loc.estimate_distances(Observation(np.zeros((1, 2)) - 50))
 
 
+# TWIN shares B[1]'s position: in ring order the pair (B[1], TWIN) is
+# concentric and has no usable point.  WEST/EAST mirror each other
+# across the line through B[0] and B[3], so for that pair the two
+# crossing points can tie exactly on their residual score.
+TWIN, WEST, EAST = "02:00:00:00:00:09", "02:00:00:00:00:0a", "02:00:00:00:00:0b"
+RING_B = [B[0], B[1], TWIN, B[2], B[3], WEST, EAST]
+RING_POS = {**AP_POS, TWIN: AP_POS[B[1]], WEST: Point(-40, 20), EAST: Point(40, 20)}
+
+
+def ring_db():
+    """A clean inverse-square survey of the ring APs."""
+    records = []
+    for y in np.arange(0.0, 41.0, 10.0):
+        for x in np.arange(0.0, 51.0, 10.0):
+            d = np.array([max(Point(x, y).distance_to(RING_POS[b]), 1.0) for b in RING_B])
+            ss = 2000.0 / d**2 + 300.0 / d + 10.0
+            records.append(
+                LocationRecord(f"g{x:g}-{y:g}", Point(x, y), np.tile(ss - 100.0, (3, 1)))
+            )
+    return TrainingDatabase(RING_B, records)
+
+
+def ranged_rows(*rows):
+    """Observations that carry their distance rows (NaN = AP not heard)."""
+    return [Observation(np.array([row], dtype=float), bssids=RING_B) for row in rows]
+
+
+class _PassThrough:
+    """Ranging stand-in: an observation's "dBm" row is its distance row."""
+
+    def __init__(self, packed):
+        self.bssids = packed.bssids
+
+    def distances(self, obs_rows):
+        return obs_rows
+
+
+def ranged(loc):
+    """Feed chosen distances straight into a fitted localizer's Phase 2."""
+    loc._packed = _PassThrough(loc._packed)
+    return loc
+
+
+def reference_position(row):
+    """The scalar construction: ring pairs through ``best_circle_intersection``,
+    the residual-scored candidate, then ``median_point``."""
+    circles = [
+        Circle(RING_POS[b], r) for b, r in zip(RING_B, row) if np.isfinite(r)
+    ]
+    n = len(circles)
+    points = []
+    for i in range(n):
+        c1, c2 = circles[i], circles[(i + 1) % n]
+        others = [circles[k] for k in range(n) if k not in (i, (i + 1) % n)]
+        candidates = best_circle_intersection(c1, c2)
+        if not candidates:
+            continue
+        points.append(
+            min(
+                candidates,
+                key=lambda p: sum(abs(c.center.distance_to(p) - c.radius) for c in others),
+            )
+        )
+    return median_point(points), points
+
+
+class TestGeometricArrayKernel:
+    NAN = np.nan
+    TRUE = Point(25.0, 20.0)
+    ROWS = [
+        # 4-AP mask, every pair crossing twice
+        [TRUE.distance_to(AP_POS[B[0]]), TRUE.distance_to(AP_POS[B[1]]), NAN,
+         TRUE.distance_to(AP_POS[B[2]]), TRUE.distance_to(AP_POS[B[3]]), NAN, NAN],
+        # same mask, noisy radii: grouped with the row above
+        [30.0, 35.0, NAN, 28.0, 33.0, NAN, NAN],
+        # 4-AP mask, B[1]'s circle nested inside B[0]'s (80 > 10 + 50)
+        [80.0, 10.0, NAN, 30.0, 45.0, NAN, NAN],
+        # 3-AP mask: (B0, B1) tangent (20 + 30 = 50), (B1, B3) separate,
+        # (B3, B0) crossing
+        [20.0, 30.0, NAN, NAN, 25.0, NAN, NAN],
+        # 5-AP mask with the concentric pair (B1, TWIN)
+        [20.0, 35.0, 30.0, 25.0, 30.0, NAN, NAN],
+        # (B0, B3) cross at (-15, 20) and (15, 20), whose residuals
+        # against WEST and EAST tie exactly (15 + 35 = 45 + 5): the
+        # first point wins, as in the scalar helpers' loop
+        [25.0, NAN, NAN, NAN, 25.0, 10.0, 20.0],
+        # 2 heard: too few for a ring
+        [20.0, NAN, NAN, 25.0, NAN, NAN, NAN],
+    ]
+
+    @pytest.fixture(scope="class")
+    def loc(self):
+        return ranged(GeometricLocalizer(RING_POS).fit(ring_db()))
+
+    def test_batch_matches_scalar_helpers(self, loc):
+        estimates = loc.locate_many(ranged_rows(*self.ROWS))
+        for row, est in zip(self.ROWS[:-1], estimates[:-1]):
+            want, points = reference_position(row)
+            assert est.valid
+            assert est.position.distance_to(want) < 1e-9
+            got = est.details["intersections"]
+            assert len(got) == len(points)
+            for p, q in zip(got, points):
+                assert p.distance_to(q) < 1e-9
+        assert not estimates[-1].valid
+        assert "2 ranged" in estimates[-1].details["reason"]
+
+    def test_ring_pair_counts(self, loc):
+        estimates = loc.locate_many(ranged_rows(*self.ROWS))
+        counts = [len(e.details.get("intersections", ())) for e in estimates]
+        # 4 ring pairs, 3 for a 3-AP mask, 5 - 1 concentric for the twin
+        assert counts == [4, 4, 4, 3, 4, 4, 0]
+        assert estimates[5].details["intersections"][0] == Point(-15.0, 20.0)
+
+    def test_clean_radii_recover_truth(self, loc):
+        est = loc.locate(ranged_rows(self.ROWS[0])[0])
+        assert est.position.distance_to(self.TRUE) < 1e-9
+
+    def test_single_row_is_the_batch_row(self, loc):
+        observations = ranged_rows(*self.ROWS)
+        batched = loc.locate_many(observations)
+        for o, b in zip(observations, batched):
+            a = loc.locate(o)
+            assert a.valid == b.valid and a.score == b.score
+            assert a.position == b.position
+            assert a.details == b.details
+
+    def test_details_keys(self, loc):
+        est = loc.locate(ranged_rows(self.ROWS[1])[0])
+        assert set(est.details) == {"distances", "intersections", "mean_radial_residual_ft"}
+        assert list(est.details["distances"]) == [B[0], B[1], B[2], B[3]]
+        assert est.score == -est.details["mean_radial_residual_ft"]
+
+
 class TestSolveMultilateration:
     ANCHORS = [Point(0, 0), Point(50, 0), Point(50, 40), Point(0, 40)]
 
@@ -241,6 +375,14 @@ class TestSolveMultilateration:
         assert residual_rms(self.ANCHORS, ranges, true) < 1e-9
         assert residual_rms(self.ANCHORS, ranges, Point(0, 0)) > 1.0
 
+    def test_collinear_anchors_give_the_point_on_their_line(self):
+        # A singular linear system: the minimum-norm answer on the line,
+        # not an exception.
+        anchors = [Point(0, 0), Point(10, 0), Point(20, 0)]
+        est = solve_multilateration(anchors, [5.0, 6.0, 15.0])
+        assert est.x == pytest.approx(14.0 / 3.0, abs=1e-6)
+        assert est.y == pytest.approx(0.0, abs=1e-9)
+
     @given(
         st.floats(min_value=2, max_value=48),
         st.floats(min_value=2, max_value=38),
@@ -251,6 +393,23 @@ class TestSolveMultilateration:
         ranges = [true.distance_to(a) for a in self.ANCHORS]
         est = solve_multilateration(self.ANCHORS, ranges)
         assert est.distance_to(true) < 1e-5
+
+
+class TestMultilaterationBatch:
+    def test_stacked_solve_matches_per_row_solver(self):
+        loc = ranged(MultilaterationLocalizer(RING_POS).fit(ring_db()))
+        rows = TestGeometricArrayKernel.ROWS
+        estimates = loc.locate_many(ranged_rows(*rows))
+        for row, est in zip(rows[:-1], estimates[:-1]):
+            heard = [(RING_POS[b], r) for b, r in zip(RING_B, row) if np.isfinite(r)]
+            want = solve_multilateration([a for a, _ in heard], [r for _, r in heard])
+            assert est.valid
+            assert est.position.distance_to(want) < 1e-9
+            assert -est.score == pytest.approx(
+                residual_rms([a for a, _ in heard], [r for _, r in heard], est.position)
+            )
+        assert not estimates[-1].valid
+        assert estimates[-1].details == {"reason": "only 2 ranged AP(s)"}
 
 
 class TestMultilaterationLocalizer:

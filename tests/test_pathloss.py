@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.regression import FitResult, PackedRanging
 from repro.radio.pathloss import (
     FEET_PER_METER,
     FreeSpaceModel,
@@ -133,3 +134,127 @@ class TestInverseSquare:
 
     def test_coefficients_property(self):
         assert InverseSquareModel(1, 2, 3).coefficients == (1, 2, 3)
+
+    def test_invert_nan_is_nan(self):
+        # A missing reading has no distance (it must not range as the
+        # nearest possible one).
+        m = self.well_behaved()
+        assert np.isnan(m.invert(np.nan))
+        out = m.invert(np.array([50.0, np.nan, 10.0]))
+        assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+        degenerate = InverseSquareModel(-5.0, -1.0, 3.0, min_distance_ft=1.0, max_distance_ft=9.0)
+        assert np.isnan(degenerate.invert(np.nan))
+
+    # -- closed form: round trip on each branch shape -------------------
+    _frac = st.floats(min_value=0.01, max_value=0.99)
+    _c = st.floats(min_value=-50, max_value=80)
+
+    @staticmethod
+    def _round_trips(m, frac):
+        """``ss(invert(s)) == s`` (rel 1e-9) for ``s`` strictly inside the branch.
+
+        "Relative" is to the size of the model's terms at the answer,
+        the scale of the rounding error any evaluation of ``ss`` makes.
+        """
+        lo, hi = m.monotone_branch()
+        s = float(m.ss(lo + frac * (hi - lo)))
+        assert float(m.ss(hi)) < s < float(m.ss(lo))
+        d = float(m.invert(s))
+        assert lo <= d <= hi
+        scale = abs(m.a) / d**2 + abs(m.b) / d + abs(m.c)
+        assert abs(float(m.ss(d)) - s) <= 1e-9 * scale
+
+    @given(
+        st.floats(min_value=1, max_value=5000),
+        st.floats(min_value=1, max_value=1000),
+        _c,
+        _frac,
+    )
+    @settings(max_examples=100)
+    def test_round_trip_full_branch(self, a, b, c, frac):
+        m = InverseSquareModel(a, b, c, min_distance_ft=1.0, max_distance_ft=200.0)
+        assert m.monotone_branch() == (1.0, 200.0)
+        self._round_trips(m, frac)
+
+    @given(
+        st.floats(min_value=2, max_value=150),
+        st.floats(min_value=1, max_value=1000),
+        _c,
+        _frac,
+    )
+    @settings(max_examples=100)
+    def test_round_trip_peak_branch(self, d_star, b, c, frac):
+        # a < 0: rises to a peak at d* = -2a/b, decreasing beyond it.
+        m = InverseSquareModel(-b * d_star / 2.0, b, c, min_distance_ft=1.0, max_distance_ft=200.0)
+        assert m.monotone_branch()[0] == pytest.approx(d_star)
+        self._round_trips(m, frac)
+
+    @given(
+        st.floats(min_value=5, max_value=190),
+        st.floats(min_value=-1000, max_value=-1),
+        _c,
+        _frac,
+    )
+    @settings(max_examples=100)
+    def test_round_trip_trough_branch(self, d_star, b, c, frac):
+        # b < 0: falls to a trough at d* = -2a/b, decreasing only before it.
+        m = InverseSquareModel(-b * d_star / 2.0, b, c, min_distance_ft=1.0, max_distance_ft=200.0)
+        assert m.monotone_branch()[1] == pytest.approx(d_star)
+        self._round_trips(m, frac)
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(min_value=-1e-9, max_value=1e-9)),
+        st.floats(min_value=1, max_value=1000),
+        _c,
+        _frac,
+    )
+    @settings(max_examples=100)
+    def test_round_trip_linear_limit(self, a, b, c, frac):
+        # a -> 0: SS = b/d + c, inverted as (SS - c)/b without 0/0.
+        m = InverseSquareModel(a, b, c, min_distance_ft=1.0, max_distance_ft=200.0)
+        self._round_trips(m, frac)
+
+    def test_closed_form_clamps_and_degenerate_midpoint(self):
+        for m in (
+            self.well_behaved(),
+            InverseSquareModel(-3000.0, 700.0, 20.0, min_distance_ft=1.0, max_distance_ft=80.0),
+            InverseSquareModel(3000.0, -100.0, 20.0, min_distance_ft=1.0, max_distance_ft=80.0),
+        ):
+            lo, hi = m.monotone_branch()
+            ss_lo, ss_hi = float(m.ss(lo)), float(m.ss(hi))
+            assert float(m.invert(ss_lo)) == lo and float(m.invert(ss_lo + 1.0)) == lo
+            assert float(m.invert(ss_hi)) == hi and float(m.invert(ss_hi - 1.0)) == hi
+        # Increasing everywhere: no usable branch, the midpoint answers.
+        flat = InverseSquareModel(-5.0, -1.0, 3.0, min_distance_ft=1.0, max_distance_ft=9.0)
+        for s in (-100.0, 0.0, 2.5, 100.0):
+            assert float(flat.invert(s)) == 5.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-5000, max_value=5000),
+                st.floats(min_value=-1000, max_value=1000),
+                st.floats(min_value=-50, max_value=80),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(
+            st.one_of(st.just(np.nan), st.floats(min_value=-20, max_value=150)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100)
+    def test_packed_inversion_is_bitwise_scalar(self, coeffs, ss):
+        names = [f"ap{i}" for i in range(len(coeffs))]
+        fits = {
+            name: FitResult(InverseSquareModel(a, b, c, 1.0, 200.0), 1.0, 0.0, 3)
+            for name, (a, b, c) in zip(names, coeffs)
+        }
+        packed = PackedRanging.from_fits(fits, names)
+        matrix = np.tile(np.asarray(ss, dtype=float)[:, None], (1, len(names)))
+        got = packed.invert_matrix(matrix)
+        for j, name in enumerate(names):
+            want = fits[name].model.invert(matrix[:, j])
+            np.testing.assert_array_equal(got[:, j], want)  # NaN == NaN here
