@@ -80,77 +80,58 @@ def _geometric_median_rows(points: np.ndarray) -> np.ndarray:
     )
 
 
-class _Ring:
-    """The ring constants of one heard-AP mask, and its per-row geometry.
+def _ring_points(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """``(n, 2)`` centres (ring order), ``(G, n)`` radii → ``(G, k, 2)``.
 
-    Built from the ``(n, 2)`` centres of the heard APs (ring order).
-    Pairs ``(i, i+1 mod n)`` whose centres coincide (gap ≤ 1e-12) have
+    One chosen point per ring pair ``(i, i+1 mod n)``: elementwise
+    ``best_circle_intersection`` over every pair of every row.  Where
+    the circles cross, the chord's two points; at tangency, the foot of
+    the chord; otherwise the least-squares point on the line of centres
+    (the middle of the gap, or past the nested circle).  Of two crossing
+    points the one with the smaller total radial residual against the
+    pair's other circles wins (the first on a tie) — in the paper's
+    house the wrong one lies outside the building, far from the
+    remaining circles.  Pairs whose centres coincide (gap ≤ 1e-12) have
     no usable point and are dropped, as ``best_circle_intersection``
     drops them; ``k`` pairs remain.
     """
-
-    def __init__(self, centers: np.ndarray):
-        n = len(centers)
-        first = np.arange(n)
-        second = (first + 1) % n
-        others = np.array(
-            [[j for j in range(n) if j not in (i, (i + 1) % n)] for i in range(n)],
-            dtype=np.intp,
-        ).reshape(n, n - 2)
-        delta = centers[second] - centers[first]
-        gap = np.hypot(delta[:, 0], delta[:, 1])
-        keep = gap > 1e-12
-        self.centers = centers
-        self.first, self.second, self.others = first[keep], second[keep], others[keep]
-        self.gap = gap[keep]  # (k,)
-        self.start = centers[self.first]  # (k, 2)
-        self.unit = delta[keep] / self.gap[:, None]  # (k, 2), first → second
-        self.normal = self.unit[:, ::-1] * np.array([-1.0, 1.0])  # unit turned +90°
-        self.other_centers = centers[self.others]  # (k, n-2, 2)
-
-    def __len__(self) -> int:
-        return len(self.gap)
-
-    def points(self, radii: np.ndarray) -> np.ndarray:
-        """``(G, n)`` radii → ``(G, k, 2)``: one chosen point per pair.
-
-        Elementwise ``best_circle_intersection`` over every pair of
-        every row: where the circles cross, the chord's two points;
-        at tangency, the foot of the chord; otherwise the least-squares
-        point on the line of centres (the middle of the gap, or past
-        the nested circle).  Of two crossing points the one with the
-        smaller total radial residual against the pair's other circles
-        wins (the first on a tie) — in the paper's house the wrong one
-        lies outside the building, far from the remaining circles.
-        """
-        gap = self.gap
-        r1, r2 = radii[:, self.first], radii[:, self.second]  # (G, k)
-        spread = np.abs(r1 - r2)
-        miss = (gap <= _TOL) | (gap > r1 + r2 + _TOL) | (gap < spread - _TOL)
-        r1_sq = r1 * r1
-        chord = (gap * gap + r1_sq - r2 * r2) / (2.0 * gap)
-        h_sq = r1_sq - chord * chord
-        scale = np.maximum(np.maximum(np.maximum(1.0, r1), r2), gap)
-        crossing = ~miss & (h_sq > (_TOL * scale) ** 2)
-        outer = gap + r1
-        along = np.where(
-            miss,
-            np.where(
-                gap >= spread,
-                (outer - r2) / 2.0,
-                np.where(r1 > r2, (outer + r2) / 2.0, (gap - r1 - r2) / 2.0),
-            ),
-            chord,
-        )
-        point = self.start + self.unit * along[..., None]  # (G, k, 2)
-        offset = self.normal * np.sqrt(np.maximum(0.0, h_sq))[..., None]
-        cands = point + offset * _CHORD_ENDS  # (2, G, k, 2)
-        to_others = cands[..., None, :] - self.other_centers  # (2, G, k, n-2, 2)
-        score = np.abs(
-            np.hypot(to_others[..., 0], to_others[..., 1]) - radii[:, self.others]
-        ).sum(axis=-1)  # (2, G, k)
-        pick = np.where((score[1] < score[0])[..., None], cands[1], cands[0])
-        return np.where(crossing[..., None], pick, point)
+    n = len(centers)
+    first = np.arange(n)
+    second = (first + 1) % n
+    others = np.sort((first[:, None] + np.arange(2, n)) % n, axis=1)  # (n, n-2)
+    delta = centers[second] - centers[first]
+    gap = np.hypot(delta[:, 0], delta[:, 1])
+    keep = gap > 1e-12
+    first, second, others, gap = first[keep], second[keep], others[keep], gap[keep]
+    unit = delta[keep] / gap[:, None]  # (k, 2), first → second
+    normal = unit[:, ::-1] * np.array([-1.0, 1.0])  # unit turned +90°
+    r1, r2 = radii[:, first], radii[:, second]  # (G, k)
+    spread = np.abs(r1 - r2)
+    miss = (gap <= _TOL) | (gap > r1 + r2 + _TOL) | (gap < spread - _TOL)
+    r1_sq = r1 * r1
+    chord = (gap * gap + r1_sq - r2 * r2) / (2.0 * gap)
+    h_sq = r1_sq - chord * chord
+    scale = np.maximum(np.maximum(np.maximum(1.0, r1), r2), gap)
+    crossing = ~miss & (h_sq > (_TOL * scale) ** 2)
+    outer = gap + r1
+    along = np.where(
+        miss,
+        np.where(
+            gap >= spread,
+            (outer - r2) / 2.0,
+            np.where(r1 > r2, (outer + r2) / 2.0, (gap - r1 - r2) / 2.0),
+        ),
+        chord,
+    )
+    point = centers[first] + unit * along[..., None]  # (G, k, 2)
+    offset = normal * np.sqrt(np.maximum(0.0, h_sq))[..., None]
+    cands = point + offset * _CHORD_ENDS  # (2, G, k, 2)
+    to_others = cands[..., None, :] - centers[others]  # (2, G, k, n-2, 2)
+    score = np.abs(
+        np.hypot(to_others[..., 0], to_others[..., 1]) - radii[:, others]
+    ).sum(axis=-1)  # (2, G, k)
+    pick = np.where((score[1] < score[0])[..., None], cands[1], cands[0])
+    return np.where(crossing[..., None], pick, point)
 
 
 @register_algorithm("geometric")
@@ -199,7 +180,6 @@ class GeometricLocalizer(Localizer):
         self._bssids: Optional[List[str]] = None
         self._packed: Optional[PackedRanging] = None
         self._centers: Optional[np.ndarray] = None
-        self._rings: Dict[bytes, _Ring] = {}
 
     # ------------------------------------------------------------------
     def fit(self, db: TrainingDatabase) -> "GeometricLocalizer":
@@ -225,7 +205,6 @@ class GeometricLocalizer(Localizer):
         self._centers = np.array(
             [[self.ap_positions[b].x, self.ap_positions[b].y] for b in self._packed.bssids]
         )
-        self._rings = {}
         return self
 
     @property
@@ -261,22 +240,6 @@ class GeometricLocalizer(Localizer):
     def locate(self, observation: Observation) -> LocationEstimate:
         return self._locate_chunk([observation])[0]
 
-    def _ring(self, cols: np.ndarray) -> _Ring:
-        """The ring of one heard-AP mask, built once and kept.
-
-        A deployment hears a handful of distinct masks, so the cache
-        stays tiny; it is dropped wholesale if it ever grows large.
-        Concurrent callers need no lock: a race only builds the same
-        immutable ring twice.
-        """
-        key = cols.tobytes()
-        ring = self._rings.get(key)
-        if ring is None:
-            if len(self._rings) >= 1024:
-                self._rings = {}
-            ring = self._rings[key] = _Ring(self._centers[cols])
-        return ring
-
     def _locate_chunk(self, observations):
         """Phase 2 for a chunk of observations, as whole-array passes.
 
@@ -291,19 +254,19 @@ class GeometricLocalizer(Localizer):
             radii = dist[rows][:, cols]
             bssids = [self._packed.bssids[f] for f in cols]
             ranged = [dict(zip(bssids, r)) for r in radii.tolist()]
+            centers = self._centers[cols]
             if len(cols) < self.min_aps:
                 reason = f"only {len(cols)} ranged AP(s)"
             else:
-                ring = self._ring(cols)
-                reason = None if len(ring) >= 2 else "fewer than 2 circle-pair intersections"
+                points = _ring_points(centers, radii)
+                reason = None if points.shape[1] >= 2 else "fewer than 2 circle-pair intersections"
             if reason is not None:
                 for i, distances in zip(rows, ranged):
                     out[i] = invalid_estimate(reason, distances=distances)
                 continue
-            points = ring.points(radii)
             position = self._AGGREGATORS[self.aggregator](points)
             # Mean radial residual of the answer against every circle.
-            to_centers = ring.centers - position[:, None, :]  # (G, n, 2)
+            to_centers = centers - position[:, None, :]  # (G, n, 2)
             residual = np.abs(
                 np.hypot(to_centers[..., 0], to_centers[..., 1]) - radii
             ).mean(axis=1)

@@ -15,7 +15,7 @@ alternative ``RSSI = p₀ − 10·n·log₁₀(d)`` used by the ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,16 +202,11 @@ def heard_groups(distances: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray
     as whole-array passes.
     """
     heard = np.isfinite(distances)
-    if len(heard) == 1:
-        yield np.flatnonzero(heard[0]), np.zeros(1, dtype=np.intp)
-        return
-    # One opaque byte-string key per row: a 1-D unique, not a row-wise one.
-    bits = np.packbits(heard, axis=1)
-    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
-    for g, row in enumerate(first):
-        yield np.flatnonzero(heard[row]), np.flatnonzero(inverse == g)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for i, mask in enumerate(map(tuple, np.packbits(heard, axis=1).tolist())):
+        groups.setdefault(mask, []).append(i)
+    for rows in groups.values():
+        yield np.flatnonzero(heard[rows[0]]), np.array(rows, dtype=np.intp)
 
 
 def fit_per_ap(

@@ -324,6 +324,15 @@ class TestGeometricArrayKernel:
             assert a.position == b.position
             assert a.details == b.details
 
+    def test_interleaved_masks_keep_their_rows(self, loc):
+        order = [3, 0, 5, 1, 6, 2, 4]  # each mask's rows apart from each other
+        straight = loc.locate_many(ranged_rows(*self.ROWS))
+        shuffled = loc.locate_many(ranged_rows(*[self.ROWS[i] for i in order]))
+        for i, est in zip(order, shuffled):
+            assert est.valid == straight[i].valid
+            assert est.position == straight[i].position
+            assert est.details == straight[i].details
+
     def test_details_keys(self, loc):
         est = loc.locate(ranged_rows(self.ROWS[1])[0])
         assert set(est.details) == {"distances", "intersections", "mean_radial_residual_ft"}
