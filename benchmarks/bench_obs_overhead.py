@@ -81,63 +81,6 @@ def test_obs_overhead_under_5_percent(house, training_db, test_points):
     )
 
 
-def test_obs_overhead_under_sharding(house, training_db, test_points):
-    """The worker-delta merge must not blow the budget on sharded batches.
-
-    Sharded runs additionally serialize each worker's registry delta and
-    fold it into the parent (``repro.parallel.pool._fold_deltas``).  We
-    time the same sharded workload with obs enabled vs disabled — the
-    pool's own process-spawn noise is identical on both sides, so the
-    ratio isolates the telemetry round trip.  The gate is looser than
-    the serial 5% one only because pool timing is noisier, not because
-    the merge is allowed to cost more: the merge itself is a handful of
-    dict folds per chunk.
-    """
-    from repro.algorithms.engine import BatchConfig, set_batch_config
-    from repro.parallel.pool import ParallelConfig
-
-    n = 2048
-    observations = house.observe_all(
-        list(test_points) * (n // len(test_points) + 1), rng=11, dwell_s=5.0
-    )[:n]
-    loc = ProbabilisticLocalizer().fit(training_db)
-
-    sharded = BatchConfig(
-        chunk_size=256,
-        shard_threshold=1024,
-        parallel=ParallelConfig(max_workers=2),
-    )
-    previous_cfg = set_batch_config(sharded)
-    try:
-        loc.locate_many(observations)  # warm the pool + both paths
-        t_enabled = _best_of(lambda: loc.locate_many(observations), repeats=5)
-        merged = obs.counter("parallel.deltas_merged", kind="map").value
-        prev_enabled = obs.set_enabled(False)
-        try:
-            t_disabled = _best_of(lambda: loc.locate_many(observations), repeats=5)
-        finally:
-            obs.set_enabled(prev_enabled)
-    finally:
-        set_batch_config(previous_cfg)
-
-    overhead = t_enabled / t_disabled - 1.0
-    lines = [
-        f"Telemetry merge overhead under sharding ({n} obs, 2 workers, best of 5)",
-        f"{'path':<22s}{'ms':>10s}{'overhead':>10s}",
-        f"{'obs disabled':<22s}{1000 * t_disabled:>10.2f}{'—':>10s}",
-        f"{'obs + delta merge':<22s}{1000 * t_enabled:>10.2f}{100 * overhead:>9.1f}%",
-        f"worker deltas merged: {merged}",
-    ]
-    record("OBS-SHARD-OVERHEAD", "\n".join(lines))
-
-    # The enabled runs really exercised the merge path.
-    assert merged > 0, "sharded run produced no worker deltas — merge path not covered"
-    assert overhead < 0.10, (
-        f"sharded telemetry round trip costs {100 * overhead:.1f}% "
-        f"(budget 10%)"
-    )
-
-
 def test_tracing_overhead_under_5_percent(house, training_db, test_points):
     """Request tracing (context + recorder, sampling on) rides the gate.
 

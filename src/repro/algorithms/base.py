@@ -246,8 +246,8 @@ class Localizer(abc.ABC):
     #: Vectorized single-chunk kernel.  Subclasses define this as a
     #: method ``_locate_chunk(observations) -> List[LocationEstimate]``
     #: (answer-identical, observation for observation, to ``locate``)
-    #: and the base ``locate_many`` routes batches through the chunked/
-    #: sharded engine automatically.  ``None`` falls back to the loop.
+    #: and the base ``locate_many`` routes batches through the chunked
+    #: engine automatically.  ``None`` falls back to the loop.
     _locate_chunk = None
 
     #: Per-instance :class:`~repro.algorithms.engine.BatchConfig`
@@ -257,15 +257,6 @@ class Localizer(abc.ABC):
     #: Kernel-specific cap on the engine chunk size, for kernels whose
     #: per-observation working set is large (e.g. a dense lattice).
     _batch_chunk_cap: Optional[int] = None
-
-    #: Optional frozen-pack shard spec ``{"pack_path", "stat",
-    #: "algorithm", "kwargs"}``.  When set (the serving layer sets it
-    #: on models fitted from a :mod:`repro.core.frozenpack` pack), the
-    #: sharded engine ships this small dict to worker processes instead
-    #: of pickling the fitted arrays per shard; workers rebuild from
-    #: the mmap'd pack once and memoize.  Answers are identical either
-    #: way — the rebuild is the same fit on the same bytes.
-    shard_pack_spec: Optional[dict] = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -286,14 +277,13 @@ class Localizer(abc.ABC):
         """Phase 2: resolve one observation to a location."""
 
     def locate_many(self, observations: Sequence[Observation]) -> List[LocationEstimate]:
-        """Batch Phase 2: chunked, optionally sharded, vectorized scoring.
+        """Batch Phase 2: chunked, vectorized scoring.
 
         Localizers that define ``_locate_chunk`` are evaluated through
         the batched scoring engine (fixed-size chunks bound the working
-        set; batches above the shard threshold fan out across
-        :mod:`repro.parallel` workers).  Localizers without a kernel
-        fall back to the per-observation loop.  Either way, results are
-        answer-identical to calling :meth:`locate` per observation.
+        set).  Localizers without a kernel fall back to the
+        per-observation loop.  Either way, results are answer-identical
+        to calling :meth:`locate` per observation.
         """
         observations = list(observations)
         if self._locate_chunk is None:
@@ -304,7 +294,6 @@ class Localizer(abc.ABC):
             label=_algorithm_label(self),
             config=self.batch_config,
             max_chunk=self._batch_chunk_cap,
-            pack_spec=self.shard_pack_spec,
         )
 
     def _check_fitted(self, attr: str) -> None:

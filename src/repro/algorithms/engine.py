@@ -1,4 +1,4 @@
-"""The batched scoring engine: chunked, optionally sharded `locate_many`.
+"""The batched scoring engine: chunked `locate_many`.
 
 Every localizer's Phase-2 scoring is a broadcastable computation, so a
 bulk request is best served as a handful of matrix passes instead of M
@@ -9,21 +9,14 @@ share:
   working set of the ``(M, L, A)`` broadcast stays cache-sized and
   memory-bounded no matter how large the request.  Chunking never
   changes answers: every kernel is independent per observation row.
-* **Sharding** — batches at or above ``shard_threshold`` fan the chunks
-  out across :mod:`repro.parallel` worker processes.  The fitted
-  localizer is pickled to the workers, so sharding pays only for big
-  batches on multi-core hosts; it is off by default
-  (``ParallelConfig(max_workers=1)``) and explicit where enabled (the
-  CLI ``--shard`` flag, or :func:`set_batch_config`).
 * **Instrumentation** — a per-request counter (``batch.requests``),
-  per-chunk spans (``batch.chunk``), chunk and shard counters
-  (``batch.chunks``, ``batch.shard``, ``batch.sharded_requests``) on
-  the global :mod:`repro.obs` registry, complementing the per-batch
-  latency histograms emitted by
-  :class:`~repro.algorithms.base.Localizer`.  Metrics emitted *inside*
-  shard workers (e.g. fallback-tier decisions) ride back to the parent
-  registry as per-chunk deltas merged by :mod:`repro.parallel.pool`,
-  so sharded and serial runs report identical totals.
+  per-chunk spans (``batch.chunk``) and a chunk counter
+  (``batch.chunks``) on the global :mod:`repro.obs` registry,
+  complementing the per-batch latency histograms emitted by
+  :class:`~repro.algorithms.base.Localizer`.
+
+A batch runs in the calling process.  Serving scales across cores with
+``repro serve --workers N``, which runs one whole server per core.
 
 A localizer participates by defining ``_locate_chunk(observations)``
 — its vectorized single-chunk kernel, answer-identical to ``locate``
@@ -33,13 +26,10 @@ through :func:`run_batched` automatically.
 
 from __future__ import annotations
 
-import functools
-import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro import obs
-from repro.parallel.pool import ParallelConfig, parallel_map
 
 __all__ = [
     "BatchConfig",
@@ -59,22 +49,9 @@ class BatchConfig:
         Observations evaluated per vectorized kernel pass.  Bounds the
         ``(chunk, L, A)`` broadcast working set; 256 keeps a typical
         survey's broadcast in the tens of megabytes.
-    shard_threshold:
-        Batches with at least this many observations ship their chunks
-        to a process pool (when ``parallel`` allows more than one
-        worker).  ``None`` disables sharding outright.
-    parallel:
-        Worker-pool configuration for the sharded path.  The default
-        single worker keeps execution serial — sharding is opt-in
-        because pickling a fitted localizer to workers only pays for
-        genuinely large batches.
     """
 
     chunk_size: int = 256
-    shard_threshold: Optional[int] = 2048
-    parallel: ParallelConfig = field(
-        default_factory=lambda: ParallelConfig(max_workers=1)
-    )
 
 
 _default_config = BatchConfig()
@@ -93,126 +70,27 @@ def set_batch_config(config: BatchConfig) -> BatchConfig:
     return previous
 
 
-def _chunks(items: Sequence[Any], size: int) -> List[Sequence[Any]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-# ----------------------------------------------------------------------
-# Pack-spec sharding: ship a frozen-pack *path* to workers, not arrays.
-#
-# The classic shard path pickles the bound chunk kernel — and with it
-# the whole fitted localizer (mean/std matrices, ranging tables) — to
-# every worker, per call.  A localizer fitted from a frozen pack
-# (:mod:`repro.core.frozenpack`) can instead advertise a small spec
-# ``{"pack_path", "stat", "algorithm", "kwargs"}``; workers rebuild the
-# localizer once from the mmap'd pack (page-cache shared with the
-# parent) and memoize it for the life of the worker process.
-# ----------------------------------------------------------------------
-
-#: Worker-process memo: spec key → fitted localizer.  One entry only —
-#: a worker serves one model at a time; a new spec (new pack file or
-#: new algorithm) evicts the old.
-_SPEC_MEMO: Dict[Tuple, Any] = {}
-
-
-def _spec_key(spec: Dict[str, Any]) -> Tuple:
-    return (
-        spec["pack_path"],
-        tuple(spec.get("stat") or ()),
-        spec["algorithm"],
-        repr(sorted((spec.get("kwargs") or {}).items())),
-    )
-
-
-def _localizer_from_spec(spec: Dict[str, Any]):
-    key = _spec_key(spec)
-    localizer = _SPEC_MEMO.get(key)
-    if localizer is None:
-        import repro.algorithms  # populate the registry  # noqa: F401
-        from repro.algorithms.base import make_localizer
-        from repro.core.frozenpack import load_frozen_db
-
-        # The rebuild must not perturb the worker's metrics delta:
-        # sharded and serial runs of the same batch report identical
-        # totals (the PR 4 invariant), and fit-time counters fired
-        # inside a worker would break that equality.
-        was_enabled = obs.set_enabled(False)
-        try:
-            db = load_frozen_db(spec["pack_path"])
-            localizer = make_localizer(
-                spec["algorithm"], **(spec.get("kwargs") or {})
-            ).fit(db)
-        finally:
-            obs.set_enabled(was_enabled)
-        _SPEC_MEMO.clear()
-        _SPEC_MEMO[key] = localizer
-    return localizer
-
-
-def _pack_shard_kernel(spec: Dict[str, Any], chunk: Sequence[Any]) -> List[Any]:
-    """Worker-side chunk kernel: rebuild-from-pack (memoized), then score."""
-    return _localizer_from_spec(spec)._locate_chunk(chunk)
-
-
-class _TracedKernel:
-    """Picklable shard-kernel wrapper carrying the request's trace context.
-
-    The serving worker's :class:`~repro.obs.TraceContext` rides to the
-    pool worker inside the job (as a plain dict, like the pack spec);
-    the worker binds it, runs the chunk under a ``batch.shard_chunk``
-    span stamped with its pid, and ships every completed span back with
-    the results.  :func:`run_batched` unwraps the envelope and absorbs
-    the spans into the parent's flight recorder/tracer — so a sharded
-    request's trace shows the worker-process spans under the same
-    trace id, exactly like an unsharded one shows its chunk spans.
-    """
-
-    __slots__ = ("kernel", "ctx_doc")
-
-    def __init__(self, kernel: Callable[[Sequence[Any]], List[Any]], ctx_doc: Dict[str, Any]):
-        self.kernel = kernel
-        self.ctx_doc = ctx_doc
-
-    def __call__(self, chunk: Sequence[Any]) -> Dict[str, Any]:
-        ctx = obs.TraceContext.from_dict(self.ctx_doc)
-        with obs.bind(ctx), obs.capture_spans() as events:
-            with obs.span("batch.shard_chunk", size=len(chunk), pid=os.getpid()):
-                results = self.kernel(chunk)
-        return {"__spans__": events, "results": results}
-
-
-def _unwrap_traced(result: Any) -> Any:
-    """Open one worker envelope: absorb its spans, return its results."""
-    if isinstance(result, dict) and "__spans__" in result:
-        obs.deliver_spans(result["__spans__"])
-        return result["results"]
-    return result
-
-
 def run_batched(
     kernel: Callable[[Sequence[Any]], List[Any]],
     items: Sequence[Any],
     label: str = "batch",
     config: Optional[BatchConfig] = None,
     max_chunk: Optional[int] = None,
-    pack_spec: Optional[Dict[str, Any]] = None,
 ) -> List[Any]:
-    """Evaluate ``kernel`` over ``items`` in chunks, sharding big batches.
+    """Evaluate ``kernel`` over ``items`` in chunks.
 
     ``kernel`` must be independent per item (every localizer chunk
-    kernel is), so chunk boundaries and sharding cannot change answers
-    — only how many items share one vectorized pass.  ``max_chunk``
-    lets memory-hungry kernels (e.g. the field-MLE lattice broadcast)
-    cap the configured chunk size.  Results come back in input order.
+    kernel is), so chunk boundaries cannot change answers — only how
+    many items share one vectorized pass.  ``max_chunk`` lets
+    memory-hungry kernels (e.g. the field-MLE lattice broadcast) cap
+    the configured chunk size.  Results come back in input order.
     """
     cfg = config if config is not None else _default_config
     n = len(items)
     if n == 0:
         return []
-    # One per-request counter emitted identically on every path (single
-    # chunk, chunked serial, sharded): the parity anchor that sharded
-    # and serial runs of the same batch must agree on after the
-    # worker-delta merge (see docs/observability.md).
+    # One per-request counter, emitted the same way whether the batch
+    # runs as one chunk or many.
     obs.counter("batch.requests", algorithm=label).inc(n)
     size = max(1, int(cfg.chunk_size))
     if max_chunk is not None:
@@ -220,50 +98,8 @@ def run_batched(
     if n <= size:
         return list(kernel(items))
 
-    chunks = _chunks(items, size)
+    chunks = [items[i : i + size] for i in range(0, n, size)]
     obs.counter("batch.chunks", algorithm=label).inc(len(chunks))
-
-    workers = cfg.parallel.resolved_workers() if cfg.parallel is not None else 1
-    if (
-        cfg.shard_threshold is not None
-        and n >= cfg.shard_threshold
-        and workers > 1
-        and len(chunks) > 1
-    ):
-        # Fan the chunks out across worker processes.  parallel_map
-        # falls back to serial execution (visibly) when the platform
-        # cannot start a pool, so the sharded path is never a loss of
-        # correctness — only, at worst, of speedup.
-        obs.counter("batch.shard", algorithm=label).inc()
-        obs.counter("batch.sharded_requests", algorithm=label).inc(n)
-        if pack_spec is not None:
-            # Ship the pack path, not the model: workers rebuild from
-            # the mmap'd pack once and memoize (_localizer_from_spec).
-            obs.counter("batch.shard_pack", algorithm=label).inc()
-            shard_kernel = functools.partial(_pack_shard_kernel, pack_spec)
-        else:
-            shard_kernel = kernel
-        ctx = obs.current_context()
-        if ctx is not None:
-            # Serialize the request's trace context into the job so the
-            # pool workers' spans stitch under the same trace id.
-            shard_kernel = _TracedKernel(shard_kernel, ctx.to_dict())
-        with obs.span(
-            "batch.shard", algorithm=label, n_items=n, n_chunks=len(chunks)
-        ):
-            shard_results = parallel_map(
-                shard_kernel,
-                chunks,
-                config=ParallelConfig(
-                    max_workers=workers,
-                    chunk_size=cfg.parallel.chunk_size,
-                    serial_threshold=2,
-                ),
-            )
-            if ctx is not None:
-                shard_results = [_unwrap_traced(shard) for shard in shard_results]
-        return [estimate for shard in shard_results for estimate in shard]
-
     out: List[Any] = []
     for index, chunk in enumerate(chunks):
         with obs.span(

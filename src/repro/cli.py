@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 
 def _fail(message: str) -> "NoReturn":  # noqa: F821 - py3.9 compat
@@ -55,56 +56,61 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="write a JSONL trace of nested pipeline spans (wall/CPU ms) to PATH",
+        help="run the command as one trace and write it to PATH as flight-recorder "
+        "JSONL (nested spans, wall/CPU ms; render with `repro obs traces PATH`)",
     )
 
 
-class _ObsSession:
-    """Activates tracing around a command and writes --metrics/--trace out.
+@contextmanager
+def _obs_session(args: argparse.Namespace) -> Iterator[None]:
+    """Trace a command and write its --metrics/--metrics-json/--trace out.
 
-    Written from ``__exit__`` even when the command fails partway — a
-    trace of a failed run is exactly when an operator wants one.
+    With ``--trace`` the command runs as one minted trace; a
+    :class:`~repro.obs.FlightRecorder` collects its spans and is dumped
+    as JSONL at the end.  Everything is written even when the command
+    fails partway — a trace of a failed run is exactly when an operator
+    wants one.
     """
+    import json
 
-    def __init__(self, args: argparse.Namespace):
-        self.metrics_path = getattr(args, "metrics", None)
-        self.metrics_json_path = getattr(args, "metrics_json", None)
-        self.trace_path = getattr(args, "trace", None)
-        self._tracer = None
-        self._activation = None
+    from repro import obs
 
-    def __enter__(self) -> "_ObsSession":
-        from repro import obs
-
-        if self.trace_path:
-            self._tracer = obs.Tracer()
-            self._activation = self._tracer.activate()
-            self._activation.__enter__()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        import json
-
-        from repro import obs
-
-        if self._activation is not None:
-            self._activation.__exit__(exc_type, exc, tb)
-        if self.trace_path:
-            n = self._tracer.write_jsonl(self.trace_path)
-            print(f"wrote {n} trace span(s) to {self.trace_path}")
-        if self.metrics_path or self.metrics_json_path:
+    metrics_path = getattr(args, "metrics", None)
+    metrics_json_path = getattr(args, "metrics_json", None)
+    trace_path = getattr(args, "trace", None)
+    recorder = ctx = previous = None
+    if trace_path:
+        recorder = obs.FlightRecorder()
+        previous = obs.set_recorder(recorder)
+        ctx = obs.TraceContext.mint()
+        recorder.begin(ctx)
+    status = "ok"
+    try:
+        with obs.bind(ctx) if ctx is not None else nullcontext():
+            yield
+    except BaseException as exc:
+        status = type(exc).__name__
+        raise
+    finally:
+        if recorder is not None:
+            obs.set_recorder(previous)
+            trace = recorder.finish(ctx.trace_id, status=status)
+            recorder.dump_jsonl(trace_path)
+            print(
+                f"wrote trace {ctx.trace_id} ({len(trace['spans'])} span(s)) "
+                f"to {trace_path}"
+            )
+        if metrics_path or metrics_json_path:
             snap = obs.snapshot()
-            if self.metrics_path:
-                Path(self.metrics_path).write_text(
+            if metrics_path:
+                Path(metrics_path).write_text(
                     json.dumps(snap, indent=2, sort_keys=True) + "\n", encoding="utf-8"
                 )
-                print(f"wrote metrics snapshot to {self.metrics_path}")
-            if self.metrics_json_path:
-                Path(self.metrics_json_path).write_text(
-                    obs.render_json(snap), encoding="utf-8"
-                )
-                print(f"wrote JSON metrics payload to {self.metrics_json_path}")
-            if self.metrics_path:
+                print(f"wrote metrics snapshot to {metrics_path}")
+            if metrics_json_path:
+                Path(metrics_json_path).write_text(obs.render_json(snap), encoding="utf-8")
+                print(f"wrote JSON metrics payload to {metrics_json_path}")
+            if metrics_path:
                 print(obs.render_text(snap))
 
 
@@ -242,7 +248,7 @@ def generator_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     _add_obs_flags(parser)
     args = parser.parse_args(argv)
-    with _ObsSession(args):
+    with _obs_session(args):
         try:
             db = generate_training_db(
                 args.collection,
@@ -300,13 +306,6 @@ def locate_main(argv: Optional[Sequence[str]] = None) -> int:
         "pass (default 256; bounds the working set)",
     )
     parser.add_argument(
-        "--shard",
-        type=int,
-        metavar="W",
-        help="fan batched requests out across W worker processes "
-        "(default 1: no sharding)",
-    )
-    parser.add_argument(
         "--plan",
         help="annotated floor-plan GIF (needed for geometric/multilateration AP positions)",
     )
@@ -327,23 +326,11 @@ def locate_main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.chunk_size is not None and args.chunk_size < 1:
         _fail(f"--chunk-size must be >= 1, got {args.chunk_size}")
-    if args.shard is not None and args.shard < 1:
-        _fail(f"--shard must be >= 1, got {args.shard}")
     prev_config = None
-    if args.chunk_size is not None or args.shard is not None:
-        from repro.algorithms.engine import BatchConfig, get_batch_config, set_batch_config
-        from repro.parallel import ParallelConfig
+    if args.chunk_size is not None:
+        from repro.algorithms.engine import BatchConfig, set_batch_config
 
-        base = get_batch_config()
-        workers = args.shard or base.parallel.max_workers
-        prev_config = set_batch_config(
-            BatchConfig(
-                chunk_size=args.chunk_size or base.chunk_size,
-                # With explicit workers, shard any multi-chunk batch.
-                shard_threshold=1 if workers > 1 else base.shard_threshold,
-                parallel=ParallelConfig(max_workers=workers),
-            )
-        )
+        prev_config = set_batch_config(BatchConfig(chunk_size=args.chunk_size))
 
     try:
         return _locate_run(args)
@@ -361,7 +348,7 @@ def _locate_run(args: argparse.Namespace) -> int:
     from repro.core.system import ap_positions_by_bssid, site_bounds
     from repro.wiscan.format import parse_wiscan
 
-    with _ObsSession(args):
+    with _obs_session(args):
         try:
             db = load_database(args.database)  # .tdb or frozen .tdbx
             sessions = [

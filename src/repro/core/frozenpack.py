@@ -21,10 +21,7 @@ zero-copy ``np.frombuffer`` view:
   model — combined RSS for the model stays at ~one worker's, which is
   what lets ``repro serve --workers N`` scale without N× memory;
 * hot-reload is "open the new pack, swap one reference" — no
-  ``zlib.decompress``, no per-record copies on the serving path;
-* :mod:`repro.parallel` shard fan-out can ship the *pack path* to
-  worker processes instead of pickling fitted arrays per shard
-  (see ``repro.algorithms.engine``).
+  ``zlib.decompress``, no per-record copies on the serving path.
 
 Layout::
 
@@ -192,10 +189,6 @@ class FrozenPack:
 
     def __init__(self, path: PathLike, verify: bool = True):
         self.path = str(path)
-        st = os.stat(self.path)
-        #: (size, mtime_ns) at open time — the shard-spec cache key that
-        #: distinguishes a pack file replaced in place.
-        self.stat: Tuple[int, int] = (st.st_size, st.st_mtime_ns)
         prefix_len = len(MAGIC) + _LEN_CRC.size
         with open(self.path, "rb") as f:
             head = f.read(prefix_len)
@@ -384,9 +377,9 @@ def load_frozen_db(path: PathLike, verify: bool = True) -> TrainingDatabase:
     section; the positions / mean / std matrices are the mapped
     sections themselves, pre-seeded into the database's memo slots so
     every consumer reads the page-cache copy.  The returned database
-    carries ``frozen_pack`` (the open :class:`FrozenPack`),
-    ``frozen_path``, and — when the pack includes ranging tables —
-    ``frozen_ranging`` for :func:`frozen_ranging_for`.
+    carries ``frozen_pack`` (the open :class:`FrozenPack`) and — when
+    the pack includes ranging tables — ``frozen_ranging`` for
+    :func:`frozen_ranging_for`.
     """
     with obs.span("frozenpack.load", path=str(path)):
         pack = FrozenPack(path, verify=verify)
@@ -427,7 +420,6 @@ def load_frozen_db(path: PathLike, verify: bool = True) -> TrainingDatabase:
         for floor in pack.meta.get("std_floors", []):
             db._std_matrix_memo[float(floor)] = pack.array(f"std_matrix/{float(floor)!r}")
         db.frozen_pack = pack
-        db.frozen_path = os.fspath(path)
         ranging_meta = pack.meta.get("ranging")
         if ranging_meta:
             from repro.algorithms.regression import PackedRanging

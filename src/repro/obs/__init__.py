@@ -7,11 +7,10 @@ catalogue, exporter formats and the trace format):
 * :mod:`repro.obs.metrics` — counters, gauges, reservoir-free
   streaming histograms, a process-global default registry, and
   cross-process aggregation (``MetricsRegistry.dump_state/merge``).
-* :mod:`repro.obs.trace` — ``span("stage")`` context managers feeding
-  a JSONL :class:`Tracer` with nesting and wall/CPU time, plus the
-  request-tracing layer: W3C-compatible :class:`TraceContext`
-  propagation (``bind``/``current_context``) and the per-process
-  :class:`FlightRecorder` ring of completed traces.
+* :mod:`repro.obs.trace` — ``span("stage")`` context managers with
+  nesting and wall/CPU time, recorded under a W3C-compatible
+  :class:`TraceContext` (``bind``/``current_context``) into the
+  per-process :class:`FlightRecorder` ring of completed traces.
 * :mod:`repro.obs.render` — ``render_text()`` snapshot formatting
   (deterministic series order).
 * :mod:`repro.obs.export` — Prometheus text exposition
@@ -52,13 +51,9 @@ from repro.obs.server import ObsServer
 from repro.obs.trace import (
     FlightRecorder,
     TraceContext,
-    Tracer,
     annotate,
     bind,
-    capture_spans,
     current_context,
-    current_tracer,
-    deliver_spans,
     get_recorder,
     new_span_id,
     set_recorder,
@@ -73,14 +68,10 @@ __all__ = [
     "MetricsRegistry",
     "ObsServer",
     "TraceContext",
-    "Tracer",
     "annotate",
     "bind",
-    "capture_spans",
     "counter",
     "current_context",
-    "current_tracer",
-    "deliver_spans",
     "get_recorder",
     "new_span_id",
     "set_recorder",

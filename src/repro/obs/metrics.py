@@ -389,7 +389,7 @@ class MetricsRegistry:
         Counters sum, gauges are last-write (the incoming value wins),
         histograms merge bucket-wise.  This is the parent side of
         cross-process aggregation: every worker returns its delta state
-        and the parent merges them all, so sharded and serial runs
+        and the parent merges them all, so parallel and serial runs
         report identical totals.  Returns ``self`` for chaining.
         """
         state = other.dump_state() if isinstance(other, MetricsRegistry) else other

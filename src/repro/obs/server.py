@@ -1,9 +1,9 @@
 """A stdlib-only live metrics endpoint: ``/metrics``, ``/metrics.json``, ``/healthz``.
 
 :class:`ObsServer` wraps :class:`http.server.ThreadingHTTPServer` in a
-daemon thread so any long-running process (a sharded batch service, a
-soak bench, the ``repro obs serve`` CLI) can expose its registry to a
-Prometheus scraper without adding a dependency:
+daemon thread so any long-running process (a soak bench, the
+``repro obs serve`` CLI) can expose its registry to a Prometheus
+scraper without adding a dependency:
 
 * ``GET /metrics`` — Prometheus text exposition of the current snapshot
   (``text/plain; version=0.0.4``).

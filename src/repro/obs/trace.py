@@ -1,35 +1,23 @@
 """Tracing: nested spans, W3C trace context, and a flight recorder.
 
-Two layers share the :func:`span` context manager:
+A :class:`TraceContext` — a W3C ``traceparent``-compatible
+``(trace_id, span_id, sampled)`` triple — can be bound to the current
+thread (:func:`bind`).  While one is bound, every :func:`span` mints a
+fresh 64-bit span id, stamps ``trace_id``/``span``/``parent_span`` into
+its event along with its name, wall/CPU milliseconds, outcome (``ok``
+or the exception type) and any keyword attributes, and re-binds itself
+as the context so nested spans (and anything that captures
+:func:`current_context`, e.g. the micro-batcher) parent correctly.
+Completed events of sampled contexts feed the process
+:class:`FlightRecorder` when one is installed.
 
-* **Pipeline tracing** (PR 2): while a :class:`Tracer` is active
-  (``with tracer.activate(): ...``) every span that closes appends one
-  event carrying its name, nesting depth, parent span id, wall/CPU
-  milliseconds, outcome (``ok`` or the exception type) and any keyword
-  attributes.  Activation is a lock-protected stack, so concurrent
-  ``activate()`` blocks from different threads are safe and re-entrant
-  (the old single ``_active`` global let one thread's exit clobber
-  another's still-active tracer).
-* **Request tracing** (PR 9): a :class:`TraceContext` — a W3C
-  ``traceparent``-compatible ``(trace_id, span_id, sampled)`` triple —
-  can be bound to the current thread (:func:`bind`).  While bound,
-  every span mints a fresh 64-bit span id, stamps
-  ``trace_id``/``span``/``parent_span`` into its event, and re-binds
-  itself as the context so nested spans (and anything that captures
-  :func:`current_context`, e.g. the micro-batcher) parent correctly.
-  Completed events feed the process :class:`FlightRecorder` (when one
-  is installed) and any :func:`capture_spans` sink — the ride-back
-  channel shard worker processes use to ship their spans home.
-
-With no tracer active, no context bound and no capture sink, a span
-costs one context-manager entry and two ``None`` checks — cheap enough
-to leave on the hot paths permanently.
+With no context bound, a span costs one context-manager entry and one
+``None`` check — cheap enough to leave on the hot paths permanently.
 
 Events are recorded at span *exit*, so children precede their parents;
-``trace_id``/``span``/``parent_span`` (or the legacy numeric
-``id``/``parent``/``depth``) are enough to rebuild the tree.  The
-active-span stack is thread-local: spans on worker threads nest
-correctly within their own thread.
+``span``/``parent_span`` are enough to rebuild the tree.  The bound
+context is thread-local: spans on worker threads nest correctly within
+their own thread.
 """
 
 from __future__ import annotations
@@ -37,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 import time
 from collections import OrderedDict, deque
@@ -46,29 +35,18 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 from repro.obs.metrics import Histogram
 
 __all__ = [
-    "Tracer",
     "span",
     "annotate",
-    "current_tracer",
     "TraceContext",
     "new_span_id",
     "bind",
     "current_context",
-    "capture_spans",
-    "deliver_spans",
     "FlightRecorder",
     "get_recorder",
     "set_recorder",
 ]
 
 _state = threading.local()
-
-
-def _stack() -> List[object]:
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = _state.stack = []
-    return stack
 
 
 def _attr_stack() -> List[Dict[str, object]]:
@@ -83,6 +61,12 @@ def _attr_stack() -> List[Dict[str, object]]:
 # ----------------------------------------------------------------------
 
 _TRACEPARENT_VERSION = "00"
+
+#: ``version-trace_id-parent_id-flags``, each field lowercase hex of its
+#: exact width.  Versions above ``00`` may append more ``-`` fields.
+_TRACEPARENT_RE = re.compile(
+    r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})(-.*)?"
+)
 
 
 def new_span_id() -> str:
@@ -122,17 +106,11 @@ class TraceContext:
         """
         if not header or not isinstance(header, str):
             return None
-        parts = header.strip().lower().split("-")
-        if len(parts) < 4:
+        match = _TRACEPARENT_RE.fullmatch(header.strip().lower())
+        if match is None:
             return None
-        version, trace_id, span_id, flags = parts[0], parts[1], parts[2], parts[3]
-        if version == "ff" or len(version) != 2:
-            return None
-        if len(trace_id) != 32 or len(span_id) != 16 or len(flags) != 2:
-            return None
-        try:
-            int(trace_id, 16), int(span_id, 16), int(flags, 16)
-        except ValueError:
+        version, trace_id, span_id, flags, extra = match.groups()
+        if version == "ff" or (version == _TRACEPARENT_VERSION and extra is not None):
             return None
         if trace_id == "0" * 32 or span_id == "0" * 16:
             return None
@@ -146,20 +124,6 @@ class TraceContext:
     def child(self) -> "TraceContext":
         """Same trace, fresh span id — one hop down (or one retry over)."""
         return TraceContext(self.trace_id, new_span_id(), self.sampled)
-
-    # -- serialization (pack-spec jobs ship contexts across processes) --
-    def to_dict(self) -> Dict[str, object]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id, "sampled": self.sampled}
-
-    @classmethod
-    def from_dict(cls, doc: Optional[Dict[str, object]]) -> Optional["TraceContext"]:
-        if not isinstance(doc, dict) or "trace_id" not in doc:
-            return None
-        return cls(
-            str(doc["trace_id"]),
-            str(doc["span_id"]) if doc.get("span_id") else None,
-            bool(doc.get("sampled", True)),
-        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -194,112 +158,6 @@ def bind(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
         _state.ctx = previous
 
 
-@contextmanager
-def capture_spans() -> Iterator[List[Dict[str, object]]]:
-    """Collect every context-stamped span this thread closes in the block.
-
-    The shard fan-out path runs inside worker processes whose flight
-    recorder is not the serving worker's; the pool kernel wraps chunk
-    execution in ``capture_spans()`` and ships the list back with the
-    results, where :meth:`FlightRecorder.absorb` stitches them in.
-    """
-    events: List[Dict[str, object]] = []
-    previous = getattr(_state, "capture", None)
-    _state.capture = events
-    try:
-        yield events
-    finally:
-        _state.capture = previous
-
-
-def deliver_spans(events: Iterable[Dict[str, object]]) -> None:
-    """Deliver spans that completed elsewhere as if they closed here.
-
-    The parent side of the shard ride-back: events go to this thread's
-    capture sink if one is installed (nested capture chains compose),
-    otherwise to the process flight recorder; an active :class:`Tracer`
-    receives them either way.
-    """
-    events = [e for e in events if isinstance(e, dict)]
-    capture = getattr(_state, "capture", None)
-    if capture is not None:
-        capture.extend(events)
-    else:
-        recorder = _recorder
-        if recorder is not None:
-            recorder.absorb(events)
-    tracer = _active
-    if tracer is not None:
-        for event in events:
-            tracer._close(event)
-
-
-# ----------------------------------------------------------------------
-# tracer activation (lock-protected stack: thread-safe + re-entrant)
-# ----------------------------------------------------------------------
-
-_active: Optional["Tracer"] = None
-_active_lock = threading.Lock()
-_active_stack: List["Tracer"] = []
-
-
-def current_tracer() -> Optional["Tracer"]:
-    return _active
-
-
-class Tracer:
-    """Collects span events; activate around the work, then write JSONL."""
-
-    def __init__(self):
-        self.events: List[Dict[str, object]] = []
-        self._lock = threading.Lock()
-        self._next_id = 0
-        self._origin = time.perf_counter()
-
-    @contextmanager
-    def activate(self) -> Iterator["Tracer"]:
-        """Install as the process-wide active tracer for the block.
-
-        Activations nest as a stack under a lock: exiting removes *this*
-        tracer's most recent entry (not blindly the top), so two
-        threads' overlapping ``activate()`` blocks never clobber each
-        other — thread A exiting while thread B's tracer is still
-        active leaves B's tracer installed.
-        """
-        global _active
-        with _active_lock:
-            _active_stack.append(self)
-            _active = self
-        try:
-            yield self
-        finally:
-            with _active_lock:
-                for i in range(len(_active_stack) - 1, -1, -1):
-                    if _active_stack[i] is self:
-                        del _active_stack[i]
-                        break
-                _active = _active_stack[-1] if _active_stack else None
-
-    # -- called by span() ------------------------------------------------
-    def _open(self) -> int:
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        return span_id
-
-    def _close(self, event: Dict[str, object]) -> None:
-        with self._lock:
-            self.events.append(event)
-
-    # -- output ----------------------------------------------------------
-    def write_jsonl(self, path: Union[str, "os.PathLike"]) -> int:
-        """Write one JSON object per event; returns the event count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(self.events)
-
-
 def annotate(**attrs: object) -> None:
     """Merge attributes into the innermost open span (no-op outside one).
 
@@ -315,21 +173,13 @@ def annotate(**attrs: object) -> None:
 @contextmanager
 def span(name: str, **attrs: object) -> Iterator[None]:
     """Trace one pipeline stage; records even when the body raises."""
-    tracer = _active
     ctx = getattr(_state, "ctx", None)
-    if tracer is None and ctx is None:
+    if ctx is None:
         yield
         return
-    stack = _stack()
-    span_id = tracer._open() if tracer is not None else None
-    parent = stack[-1] if stack else None
-    stack.append(span_id)
-    child: Optional[TraceContext] = None
-    ts: Optional[float] = None
-    if ctx is not None:
-        child = TraceContext(ctx.trace_id, new_span_id(), ctx.sampled)
-        _state.ctx = child
-        ts = time.time()
+    child = TraceContext(ctx.trace_id, new_span_id(), ctx.sampled)
+    _state.ctx = child
+    ts = time.time()
     open_attrs: Dict[str, object] = dict(attrs)
     attr_stack = _attr_stack()
     attr_stack.append(open_attrs)
@@ -344,41 +194,23 @@ def span(name: str, **attrs: object) -> Iterator[None]:
     finally:
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         cpu_ms = 1000.0 * (time.process_time() - c0)
-        stack.pop()
         attr_stack.pop()
-        if ctx is not None:
-            _state.ctx = ctx
-        event: Dict[str, object] = {
-            "name": name,
-            "wall_ms": wall_ms,
-            "cpu_ms": cpu_ms,
-            "status": status,
-        }
-        if tracer is not None:
-            event["id"] = span_id
-            event["parent"] = parent
-            event["depth"] = len(stack)
-            event["t_start_ms"] = 1000.0 * (t0 - tracer._origin)
-        if open_attrs:
-            event["attrs"] = open_attrs
-        if child is not None:
+        _state.ctx = ctx
+        recorder = _recorder
+        if recorder is not None and child.sampled:
+            event: Dict[str, object] = {
+                "name": name,
+                "wall_ms": wall_ms,
+                "cpu_ms": cpu_ms,
+                "status": status,
+            }
+            if open_attrs:
+                event["attrs"] = open_attrs
             event["trace_id"] = child.trace_id
             event["span"] = child.span_id
             event["parent_span"] = ctx.span_id
             event["ts"] = ts
-        if tracer is not None:
-            tracer._close(event)
-        if child is not None:
-            capture = getattr(_state, "capture", None)
-            if capture is not None:
-                # Captured spans are delivered by the capture owner
-                # (FlightRecorder.absorb on the parent side), never
-                # double-fed to the local recorder.
-                capture.append(event)
-            else:
-                recorder = _recorder
-                if recorder is not None and child.sampled:
-                    recorder.record(event)
+            recorder.record(event)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +224,7 @@ class FlightRecorder:
     """Always-on bounded ring buffer of completed request traces.
 
     Spans stream in while a trace is *open* (:meth:`begin` …
-    :meth:`record`/:meth:`absorb` … :meth:`finish`); at finish the
+    :meth:`record` … :meth:`finish`); at finish the
     trace is either **pinned** (errors, deadline misses, p99-slow — a
     separate ring so a burst of healthy traffic can't evict the one
     trace the operator needs) or kept as an **ok** trace, sampled one
@@ -472,12 +304,6 @@ class FlightRecorder:
             spans.append(event)
         else:
             self._truncated_spans += 1
-
-    def absorb(self, events: Iterable[Dict[str, object]]) -> None:
-        """Stitch spans that completed elsewhere (shard workers) in."""
-        for event in events:
-            if isinstance(event, dict):
-                self.record(event)
 
     def finish(
         self,
@@ -573,7 +399,8 @@ class FlightRecorder:
         """Merge per-worker :meth:`snapshot` docs into one fleet view.
 
         Traces dedupe by id — the copy with the most spans wins (a
-        worker that absorbed shard ride-backs beats a stale dump).
+        retried request can leave a copy of its trace on each worker
+        it reached).
         Stats sum field-wise except ``open`` which is a point-in-time
         gauge (summed too; it is per-worker in-flight).
         """

@@ -12,13 +12,12 @@ do that reproducibly and fast:
   multiprocessing.
 """
 
-from repro.parallel.pool import ParallelConfig, parallel_map, parallel_starmap
+from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.parallel.rng import resolve_rng, spawn_rngs, spawn_seeds
 
 __all__ = [
     "ParallelConfig",
     "parallel_map",
-    "parallel_starmap",
     "resolve_rng",
     "spawn_rngs",
     "spawn_seeds",

@@ -15,7 +15,7 @@ Design notes (per the hpc-parallel guides):
   would otherwise vanish with the worker, so each chunk runs against a
   fresh worker-local registry and ships its delta state back with the
   results; the parent folds every delta into its own registry
-  (counters sum, histograms merge bucket-wise).  Sharded and serial
+  (counters sum, histograms merge bucket-wise).  Parallel and serial
   runs therefore report identical totals.
 """
 
@@ -89,26 +89,10 @@ def _apply_chunk(
     return results, delta.dump_state()
 
 
-def _star_apply_chunk(
-    func: Callable[..., Any], chunk: Sequence[Tuple], collect: bool = False
-) -> Tuple[List[Any], Optional[dict]]:
-    if not collect:
-        return [func(*args) for args in chunk], None
-    from repro.obs import metrics as _metrics
-
-    delta = _metrics.MetricsRegistry()
-    previous = _metrics.set_registry(delta)
-    try:
-        results = [func(*args) for args in chunk]
-    finally:
-        _metrics.set_registry(previous)
-    return results, delta.dump_state()
-
-
-def _fold_deltas(kind: str, pairs: Sequence[Tuple[List[Any], Optional[dict]]]) -> List[Any]:
+def _fold_deltas(pairs: Sequence[Tuple[List[Any], Optional[dict]]]) -> List[Any]:
     """Merge worker registry deltas into the parent registry, in order.
 
-    Counters sum and histograms merge bucket-wise, so a sharded run
+    Counters sum and histograms merge bucket-wise, so a parallel run
     reports the same totals a serial run would; gauges are last-write
     in submission order (deterministic, matching serial emission
     order).  Returns the flattened, order-preserving results.
@@ -119,29 +103,8 @@ def _fold_deltas(kind: str, pairs: Sequence[Tuple[List[Any], Optional[dict]]]) -
             obs.merge_state(state)
             merged += 1
     if merged:
-        obs.counter("parallel.deltas_merged", kind=kind).inc(merged)
+        obs.counter("parallel.deltas_merged", kind="map").inc(merged)
     return [result for results, _ in pairs for result in results]
-
-
-def _chunked(items: Sequence[Any], size: int) -> List[Sequence[Any]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _note_serial_fallback(kind: str, exc: BaseException) -> None:
-    """A pool failed to start: run serially, but *visibly*.
-
-    Sandboxes without fork/spawn are survivable, yet a sweep that
-    quietly lost its parallelism looks identical to a fast one — so the
-    degradation is both counted (``parallel.serial_fallback``) and
-    warned once per occurrence.
-    """
-    obs.counter("parallel.serial_fallback", kind=kind).inc()
-    warnings.warn(
-        f"{kind}: process pool unavailable ({type(exc).__name__}: {exc}); "
-        "falling back to serial execution",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def parallel_map(
@@ -163,7 +126,8 @@ def parallel_map(
         obs.counter("parallel.serial_small", kind="map").inc()
         return [func(item) for item in items]
 
-    chunks = _chunked(items, config.resolved_chunk_size(len(items), workers))
+    size = config.resolved_chunk_size(len(items), workers)
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     pool_workers = min(workers, len(chunks))
     obs.counter("parallel.maps", kind="map").inc()
     obs.counter("parallel.chunks", kind="map").inc(len(chunks))
@@ -181,42 +145,14 @@ def parallel_map(
                     )
                 )
     except (OSError, PermissionError) as exc:  # sandboxes without fork/spawn
-        _note_serial_fallback("parallel_map", exc)
+        # Survivable, yet a sweep that quietly lost its parallelism
+        # looks identical to a fast one: count it and warn.
+        obs.counter("parallel.serial_fallback", kind="parallel_map").inc()
+        warnings.warn(
+            f"parallel_map: process pool unavailable ({type(exc).__name__}: {exc}); "
+            "falling back to serial execution",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return [func(item) for item in items]
-    return _fold_deltas("map", pairs)
-
-
-def parallel_starmap(
-    func: Callable[..., Any],
-    argtuples: Iterable[Tuple],
-    config: Optional[ParallelConfig] = None,
-) -> List[Any]:
-    """Ordered parallel ``itertools.starmap`` analogue of :func:`parallel_map`."""
-    config = config or ParallelConfig()
-    argtuples = [tuple(t) for t in argtuples]
-    workers = config.resolved_workers()
-    if len(argtuples) < config.serial_threshold or workers <= 1:
-        obs.counter("parallel.serial_small", kind="starmap").inc()
-        return [func(*args) for args in argtuples]
-
-    chunks = _chunked(argtuples, config.resolved_chunk_size(len(argtuples), workers))
-    pool_workers = min(workers, len(chunks))
-    obs.counter("parallel.maps", kind="starmap").inc()
-    obs.counter("parallel.chunks", kind="starmap").inc(len(chunks))
-    obs.gauge("parallel.workers").set(pool_workers)
-    collect = obs.enabled()
-    try:
-        with obs.span("parallel.starmap", n_items=len(argtuples), n_chunks=len(chunks)):
-            with ProcessPoolExecutor(max_workers=pool_workers) as pool:
-                pairs = list(
-                    pool.map(
-                        _star_apply_chunk,
-                        [func] * len(chunks),
-                        chunks,
-                        [collect] * len(chunks),
-                    )
-                )
-    except (OSError, PermissionError) as exc:
-        _note_serial_fallback("parallel_starmap", exc)
-        return [func(*args) for args in argtuples]
-    return _fold_deltas("starmap", pairs)
+    return _fold_deltas(pairs)

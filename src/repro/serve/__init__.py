@@ -9,8 +9,8 @@ of the serving substrate:
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the concurrency
   heart: single requests from many connections are collected for up to
   ``max_wait_ms`` (or ``max_batch``) and dispatched as **one**
-  ``locate_many`` call, so live traffic rides the same chunked/sharded
-  kernels as bulk scoring.  Bounded queue (admission control),
+  ``locate_many`` call, so live traffic rides the same chunked kernels
+  as bulk scoring.  Bounded queue (admission control),
   per-request deadlines, injectable clock.
 * :mod:`repro.serve.service` — :class:`LocalizationService`, model
   lifecycle: load + warm a fitted localizer from a training database,

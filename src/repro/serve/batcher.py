@@ -7,7 +7,7 @@ the slow path forever.  :class:`MicroBatcher` closes the gap: incoming
 single requests are queued, a dedicated dispatcher thread collects
 them for up to ``max_wait_ms`` (or until ``max_batch`` are waiting)
 and hands the whole group to one ``dispatch`` call — for the
-localization service, one ``locate_many`` through the chunked/sharded
+localization service, one ``locate_many`` through the chunked
 engine.  Each caller gets a :class:`concurrent.futures.Future`
 resolved with *its* answer, exactly once, in submission order.
 
@@ -316,8 +316,8 @@ class MicroBatcher:
                 1000.0 * (now - req.enqueued_at) for req in live
             )
             # The fan-in stitch: the dispatch runs under the *first*
-            # live request's trace context (so engine/chunk/shard spans
-            # land in one trace), and the dispatch span links every
+            # live request's trace context (so engine/chunk spans land
+            # in one trace), and the dispatch span links every
             # coalesced request's (trace_id, span_id) — the flight
             # recorder copies it into each linked trace, so all N
             # requests see the shared dispatch in their own tree.

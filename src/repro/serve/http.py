@@ -37,9 +37,8 @@ tracking sessions:
 Every request is traced end to end: the edge adopts the client's W3C
 ``traceparent`` (or mints a :class:`~repro.obs.TraceContext`), the
 edge span wraps the handler, the micro-batcher links the coalesced
-request spans into its dispatch span, engine chunk/shard spans nest
-beneath, and shard worker processes ship their spans back under the
-same trace id.  ``X-Request-Id`` is echoed (or assigned) on **every**
+request spans into its dispatch span, and engine chunk spans nest
+beneath.  ``X-Request-Id`` is echoed (or assigned) on **every**
 response — errors and early rejects included — and appears in JSON
 error bodies; admission/deadline/drain decisions land as edge-span
 attributes so a rejected request still leaves a one-span trace.
@@ -1043,7 +1042,7 @@ class LocalizationHTTPServer:
                 if chaos_s > 0:
                     time.sleep(chaos_s)
             # Already a batch: no coalescing window to gain, straight through
-            # the chunked/sharded engine.
+            # the chunked engine.
             estimates = view.service.locate_many(observations)
         body = canonical_json(
             {"estimates": [estimate_to_json(e) for e in estimates]}

@@ -148,18 +148,6 @@ class LocalizationService:
                     ChaosTier(tier, self.chaos) for tier in localizer._fitted
                 ]
             localizer.tier_guard = self.breaker_board
-        frozen_path = getattr(db, "frozen_path", None)
-        if frozen_path is not None and self.chaos is None:
-            # Pack-backed model: big sharded batches ship this spec to
-            # worker processes instead of pickling the fitted arrays
-            # (chaos wrappers are process-local, so a chaos'd model
-            # keeps the classic pickle path).
-            localizer.shard_pack_spec = {
-                "pack_path": frozen_path,
-                "stat": list(db.frozen_pack.stat),
-                "algorithm": self.algorithm,
-                "kwargs": kwargs,
-            }
         self._generation += 1
         return _Model(localizer, db, path, self._generation)
 

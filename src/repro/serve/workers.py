@@ -27,8 +27,8 @@ module is the scale-out answer (``repro serve --workers N``):
   recorder: each worker dumps its retained traces to
   ``traces-<i>.json`` on every tick, and ``/debug/traces`` on *any*
   worker merges every file through
-  :meth:`~repro.obs.FlightRecorder.merge_docs` — so a sharded request
-  whose spans landed on worker 2 is retrievable from worker 0.
+  :meth:`~repro.obs.FlightRecorder.merge_docs` — so a request whose
+  spans landed on worker 2 is retrievable from worker 0.
   ``SIGUSR2`` dumps a worker's recorder to
   ``traces-<i>-<pid>.jsonl`` for offline inspection without touching
   the serving path.

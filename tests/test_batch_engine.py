@@ -1,10 +1,10 @@
-"""The batched scoring engine: chunking, sharding, config plumbing.
+"""The batched scoring engine: chunking and config plumbing.
 
 ``run_batched`` is the one place every vectorized ``locate_many`` goes
 through, so its contract is pinned directly: results in order and
 complete across chunk boundaries, chunk sizes bounded (including the
-kernel-specific cap), chunk/shard counters emitted, and the process
-default config swappable and restorable.
+kernel-specific cap), chunk counters emitted, and the process default
+config swappable and restorable.
 """
 
 import numpy as np
@@ -17,11 +17,9 @@ from repro.algorithms.engine import (
     run_batched,
     set_batch_config,
 )
-from repro.parallel import ParallelConfig
 
 
 def _double_all(items):
-    """Module-level kernel: picklable, so the shard path can ship it."""
     return [2 * x for x in items]
 
 
@@ -53,7 +51,7 @@ class TestRunBatched:
         assert _SEEN_CHUNK_SIZES == [10]  # no chunk splitting below chunk_size
 
     def test_chunking_preserves_order_and_counts(self):
-        config = BatchConfig(chunk_size=7, shard_threshold=None)
+        config = BatchConfig(chunk_size=7)
         items = list(range(100))
         assert run_batched(_double_all, items, label="t", config=config) == [
             2 * x for x in items
@@ -64,33 +62,11 @@ class TestRunBatched:
 
     def test_max_chunk_caps_config(self):
         _SEEN_CHUNK_SIZES.clear()
-        config = BatchConfig(chunk_size=64, shard_threshold=None)
+        config = BatchConfig(chunk_size=64)
         run_batched(
             _recording_kernel, list(range(40)), config=config, max_chunk=16
         )
         assert max(_SEEN_CHUNK_SIZES) <= 16
-
-    def test_shard_path_matches_serial(self):
-        config = BatchConfig(
-            chunk_size=8,
-            shard_threshold=16,
-            parallel=ParallelConfig(max_workers=2),
-        )
-        items = list(range(64))
-        out = run_batched(_double_all, items, label="s", config=config)
-        assert out == [2 * x for x in items]
-        snap = obs.snapshot()
-        assert snap["counters"]["batch.sharded_requests{algorithm=s}"] == 64
-        assert snap["counters"]["batch.shard{algorithm=s}"] == 1
-
-    def test_below_threshold_never_shards(self):
-        config = BatchConfig(
-            chunk_size=8,
-            shard_threshold=1000,
-            parallel=ParallelConfig(max_workers=2),
-        )
-        run_batched(_double_all, list(range(64)), label="ns", config=config)
-        assert "batch.shard{algorithm=ns}" not in obs.snapshot()["counters"]
 
 
 class TestBatchConfig:
@@ -122,7 +98,7 @@ class TestBatchConfig:
             ],
         )
         loc = KNNLocalizer(k=1).fit(db)
-        loc.batch_config = BatchConfig(chunk_size=2, shard_threshold=None)
+        loc.batch_config = BatchConfig(chunk_size=2)
         observations = [
             Observation(rng.normal(-60, 3, (3, 2)), bssids=bssids) for _ in range(9)
         ]

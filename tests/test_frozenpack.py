@@ -10,7 +10,7 @@ zero-copy the whole way down", so the suite enforces three contracts:
 * **Parity**: every registered localizer fitted on a frozen database
   answers byte-identically (canonical wire JSON) to the same localizer
   fitted on the heap-backed ``.tdb`` database it was frozen from —
-  including the fallback chain and the pack-spec sharded engine path.
+  including the fallback chain.
 * **Adoption**: geometric tiers reuse the pack's ranging tables only
   under a matching AP-map fingerprint, and the adopted arrays really
   are the mapped ones (``np.shares_memory``), not copies.
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro.algorithms  # noqa: F401 - populate the registry
 from repro.algorithms.base import _REGISTRY, make_localizer
-from repro.algorithms.engine import BatchConfig
 from repro.core.frozenpack import (
     MAGIC,
     FrozenPack,
@@ -45,7 +44,6 @@ from repro.core.frozenpack import (
 )
 from repro.core.geometry import Point
 from repro.core.trainingdb import TrainingDBError
-from repro.parallel import ParallelConfig
 from repro.serve.wire import canonical_json, estimate_to_json
 
 
@@ -287,37 +285,6 @@ def test_ranging_fingerprint_is_order_independent():
     assert ranging_fingerprint(a) != ranging_fingerprint(
         {"aa": Point(1.0, 2.0), "bb": Point(3.0, 4.5)}
     )
-
-
-# ----------------------------------------------------------------------
-# the sharded engine path: workers rebuild from the pack spec
-# ----------------------------------------------------------------------
-def test_pack_spec_sharding_matches_serial(pack_path, observations, house):
-    from repro.core.frozenpack import load_frozen_db as _load
-
-    db = _load(pack_path)
-    kwargs = _kwargs_for("fallback", house)
-    serial = make_localizer("fallback", **kwargs).fit(db)
-    sharded = make_localizer("fallback", **kwargs).fit(db)
-    sharded.shard_pack_spec = {
-        "pack_path": str(pack_path),
-        "stat": list(db.frozen_pack.stat),
-        "algorithm": "fallback",
-        "kwargs": kwargs,
-    }
-    obs_list = list(observations) * 3
-    sharded.batch_config = BatchConfig(
-        chunk_size=8,
-        shard_threshold=len(obs_list),  # force the sharded branch
-        parallel=ParallelConfig(max_workers=2),
-    )
-    want = serial.locate_many(obs_list)
-    got = sharded.locate_many(obs_list)
-    assert len(got) == len(want)
-    for w, g in zip(want, got):
-        assert canonical_json(estimate_to_json(w)) == canonical_json(
-            estimate_to_json(g)
-        )
 
 
 def test_freeze_cli_roundtrip(tmp_path, training_db, house):

@@ -2,6 +2,7 @@
 
 import json
 import statistics
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -146,73 +147,81 @@ class TestRegistry:
         assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
+@contextmanager
+def _one_trace():
+    """Bind one minted trace into a fresh FlightRecorder for the block.
+
+    Yields the recorder; after the block its only trace is finished.
+    """
+    recorder = obs.FlightRecorder()
+    previous = obs.set_recorder(recorder)
+    ctx = obs.TraceContext.mint()
+    recorder.begin(ctx)
+    try:
+        with obs.bind(ctx):
+            yield recorder
+    finally:
+        obs.set_recorder(previous)
+        recorder.finish(ctx.trace_id)
+
+
+def _spans(recorder):
+    (trace,) = recorder.traces()
+    return trace["spans"]
+
+
 class TestSpans:
     def test_no_tracer_is_passthrough(self):
         with obs.span("free"):
-            pass  # must not raise, must not need a tracer
+            pass  # must not raise, must not need a bound trace
 
     def test_nesting_depth_and_parents(self):
-        tracer = obs.Tracer()
-        with tracer.activate():
+        with _one_trace() as recorder:
             with obs.span("outer"):
                 with obs.span("inner"):
                     pass
-        by_name = {e["name"]: e for e in tracer.events}
-        assert by_name["inner"]["depth"] == 1
-        assert by_name["outer"]["depth"] == 0
-        assert by_name["inner"]["parent"] == by_name["outer"]["id"]
-        assert by_name["outer"]["parent"] is None
+        spans = _spans(recorder)
+        by_name = {e["name"]: e for e in spans}
+        assert by_name["inner"]["parent_span"] == by_name["outer"]["span"]
+        assert by_name["outer"]["parent_span"] is None  # a root of the trace
         # children close first
-        assert tracer.events[0]["name"] == "inner"
+        assert spans[0]["name"] == "inner"
 
     def test_span_records_on_exception(self):
-        tracer = obs.Tracer()
-        with tracer.activate():
+        with _one_trace() as recorder:
             with pytest.raises(KeyError):
                 with obs.span("will-fail"):
                     raise KeyError("oops")
             with obs.span("after"):
                 pass
-        by_name = {e["name"]: e for e in tracer.events}
+        by_name = {e["name"]: e for e in _spans(recorder)}
         assert by_name["will-fail"]["status"] == "KeyError"
-        # the stack unwound: the next span is a root again
-        assert by_name["after"]["depth"] == 0
-        assert by_name["after"]["parent"] is None
+        # the context unwound: the next span is a root again
+        assert by_name["after"]["parent_span"] is None
 
     def test_wall_and_cpu_time_recorded(self):
-        tracer = obs.Tracer()
-        with tracer.activate():
+        with _one_trace() as recorder:
             with obs.span("work"):
                 sum(range(10000))
-        (event,) = tracer.events
+        (event,) = _spans(recorder)
         assert event["wall_ms"] >= 0.0
         assert event["cpu_ms"] >= 0.0
 
     def test_attrs_carried(self):
-        tracer = obs.Tracer()
-        with tracer.activate():
+        with _one_trace() as recorder:
             with obs.span("s", source="file.zip", n=3):
                 pass
-        assert tracer.events[0]["attrs"] == {"source": "file.zip", "n": 3}
+        assert _spans(recorder)[0]["attrs"] == {"source": "file.zip", "n": 3}
 
     def test_write_jsonl(self, tmp_path):
-        tracer = obs.Tracer()
-        with tracer.activate():
+        with _one_trace() as recorder:
             with obs.span("a"):
                 with obs.span("b"):
                     pass
         path = tmp_path / "trace.jsonl"
-        assert tracer.write_jsonl(path) == 2
-        events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [e["name"] for e in events] == ["b", "a"]
-
-    def test_activation_restores_previous(self):
-        outer, inner = obs.Tracer(), obs.Tracer()
-        with outer.activate():
-            with inner.activate():
-                assert obs.current_tracer() is inner
-            assert obs.current_tracer() is outer
-        assert obs.current_tracer() is None
+        assert recorder.dump_jsonl(path) == 1
+        (trace,) = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["name"] for e in trace["spans"]] == ["b", "a"]
 
 
 class TestRenderText:
@@ -391,19 +400,19 @@ class TestPipelineInstrumentation:
         map_path = tmp_path / "locations.txt"
         house.location_map().save(map_path)
 
-        tracer = obs.Tracer()
-        with tracer.activate():
+        with _one_trace() as recorder:
             db = generate_training_db(survey_dir, map_path)
         snap = obs.snapshot()
         assert snap["counters"]["trainingdb.builds"] == 1
         assert snap["gauges"]["trainingdb.locations"] == len(db)
         assert snap["counters"]["ingest.files_read"] == len(db)
-        names = [e["name"] for e in tracer.events]
+        spans = _spans(recorder)
+        names = [e["name"] for e in spans]
         assert "trainingdb.build" in names
         assert "wiscan.from_directory" in names
-        build = next(e for e in tracer.events if e["name"] == "trainingdb.build")
-        load = next(e for e in tracer.events if e["name"] == "wiscan.load")
-        assert load["parent"] == build["id"]  # ingestion nests under the build
+        build = next(e for e in spans if e["name"] == "trainingdb.build")
+        load = next(e for e in spans if e["name"] == "wiscan.load")
+        assert load["parent_span"] == build["span"]  # ingestion nests under the build
 
     def test_fallback_decision_counters(self, registry):
         from repro.algorithms.base import Observation

@@ -1,14 +1,14 @@
 """Cross-process aggregation: mergeable registries and their pool round trip.
 
-The telemetry v2 contract: a sharded run must report the same
-``batch.*``/``locate.*``/``fallback.*`` totals a serial run would —
-every worker's registry delta rides back with its results and folds
-into the parent (``repro.parallel.pool._fold_deltas``), and nothing is
-ever counted twice.  These tests pin the merge algebra (counters sum,
-gauges last-write, histograms merge bucket-wise and associatively),
-its thread safety, and the end-to-end parity through a sharded
-``locate_many`` over the tiered fallback chain — the localizer whose
-counters are emitted *inside* the workers.
+The telemetry v2 contract: work split into pieces must report the same
+totals one serial run would — every pool worker's registry delta rides
+back with its results and folds into the parent
+(``repro.parallel.pool._fold_deltas``), and nothing is ever counted
+twice.  These tests pin the merge algebra (counters sum, gauges
+last-write, histograms merge bucket-wise and associatively), its
+thread safety, the per-request counts of a multi-chunk ``locate_many``
+over the tiered fallback chain, and the delta fold through a real
+two-worker ``parallel_map``.
 """
 
 import json
@@ -26,7 +26,7 @@ from repro.algorithms.fallback import FallbackLocalizer
 from repro.core.geometry import Point
 from repro.core.trainingdb import LocationRecord, TrainingDatabase
 from repro.obs.metrics import Histogram, MetricsRegistry, split_series
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, parallel_map
 
 
 @pytest.fixture()
@@ -234,13 +234,9 @@ class TestThreadSafety:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: sharded locate_many vs serial, counter-for-counter
+# End-to-end: a batch split into pieces counts each request exactly once
 # ----------------------------------------------------------------------
 B = ["02:aa", "02:bb", "02:cc"]
-
-#: Counter prefixes that only exist on one side by design: shard
-#: bookkeeping and pool internals.  Everything else must match.
-_SHARD_ONLY = ("batch.shard", "parallel.")
 
 
 def _make_chain():
@@ -273,28 +269,26 @@ def _mixed_observations(n=64, seed=4):
     return out
 
 
-def _comparable_counters(snap):
-    return {
-        k: v
-        for k, v in snap["counters"].items()
-        if not k.startswith(_SHARD_ONLY)
-    }
+def _bump(x):
+    """Module-level so the process pool can pickle it."""
+    obs.counter("m.bumps").inc()
+    obs.histogram("m.value").observe(float(x))
+    return x + 1
 
 
 class TestShardedCounterParity:
+    """The pieces are engine chunks, or ``parallel_map`` worker chunks."""
+
     def test_sharded_locate_many_counts_each_request_exactly_once(self, registry):
         chain = _make_chain()
-        chain.batch_config = BatchConfig(
-            chunk_size=8,
-            shard_threshold=16,
-            parallel=ParallelConfig(max_workers=2),
-        )
+        chain.batch_config = BatchConfig(chunk_size=8)
         observations = _mixed_observations()
         estimates = chain.locate_many(observations)
         assert len(estimates) == len(observations)
 
         snap = obs.snapshot()
         n = len(observations)
+        assert snap["counters"]["batch.chunks{algorithm=fallback}"] == n // 8
         assert snap["counters"]["batch.requests{algorithm=fallback}"] == n
         assert snap["counters"]["locate.batched{algorithm=fallback}"] == n
         answered = sum(
@@ -302,51 +296,23 @@ class TestShardedCounterParity:
         )
         exhausted = snap["counters"].get("fallback.exhausted", 0)
         # Every request answered or exhausted exactly once, even though
-        # the tier counters were emitted inside pool workers.
+        # the batch ran as eight chunks.
         assert answered + exhausted == n
 
-    def test_sharded_and_serial_report_identical_totals(self, registry):
-        chain = _make_chain()
-        observations = _mixed_observations()
-
-        chain.batch_config = BatchConfig(chunk_size=8, shard_threshold=None)
-        serial_estimates = chain.locate_many(observations)
+    def test_sharded_run_really_merged_worker_deltas(self, registry):
+        items = list(range(40))
+        expected = [x + 1 for x in items]
+        assert parallel_map(_bump, items, ParallelConfig(max_workers=1)) == expected
         serial = obs.snapshot()
 
         obs.reset()
-        chain.batch_config = BatchConfig(
-            chunk_size=8,
-            shard_threshold=16,
-            parallel=ParallelConfig(max_workers=2),
-        )
-        sharded_estimates = chain.locate_many(observations)
-        sharded = obs.snapshot()
+        two_workers = ParallelConfig(max_workers=2, serial_threshold=1)
+        assert parallel_map(_bump, items, two_workers) == expected
+        parallel = obs.snapshot()
 
-        # Same answers...
-        assert [e.location_name for e in serial_estimates] == [
-            e.location_name for e in sharded_estimates
-        ]
-        # ...and, after the worker-delta merge, the same totals.
-        assert _comparable_counters(serial) == _comparable_counters(sharded)
-        # Timing histograms differ in values but not in what was counted.
-        assert (
-            sharded["histograms"]["quality.confidence{algorithm=fallback}"]["count"]
-            == serial["histograms"]["quality.confidence{algorithm=fallback}"]["count"]
-        )
-
-    def test_sharded_run_really_merged_worker_deltas(self, registry):
-        chain = _make_chain()
-        chain.batch_config = BatchConfig(
-            chunk_size=8,
-            shard_threshold=16,
-            parallel=ParallelConfig(max_workers=2),
-        )
-        chain.locate_many(_mixed_observations())
-        counters = obs.snapshot()["counters"]
-        merged = sum(
-            v for k, v in counters.items() if k.startswith("parallel.deltas_merged")
-        )
-        # Not a vacuous parity test: deltas actually crossed the pool
-        # (unless the platform fell back to serial, which self-reports).
-        fell_back = any(k.startswith("parallel.serial_fallback") for k in counters)
-        assert merged > 0 or fell_back
+        # The counts were emitted inside the pool workers, and folded
+        # back they equal the serial run's.
+        assert parallel["counters"]["m.bumps"] == serial["counters"]["m.bumps"] == 40
+        assert parallel["histograms"]["m.value"] == serial["histograms"]["m.value"]
+        # Not vacuous: deltas really crossed the pool.
+        assert parallel["counters"]["parallel.deltas_merged{kind=map}"] > 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro import obs
 from repro.parallel import pool
-from repro.parallel.pool import ParallelConfig, parallel_map, parallel_starmap
+from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.parallel.rng import (
     check_independence,
     resolve_rng,
@@ -18,10 +18,6 @@ from repro.parallel.rng import (
 
 def square(x):
     return x * x
-
-
-def add(a, b):
-    return a + b
 
 
 def boom(x):
@@ -98,14 +94,6 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(square, []) == []
 
-    def test_starmap(self):
-        cfg = ParallelConfig(max_workers=2, serial_threshold=1)
-        pairs = [(i, i + 1) for i in range(30)]
-        assert parallel_starmap(add, pairs, cfg) == [2 * i + 1 for i in range(30)]
-
-    def test_starmap_serial(self):
-        assert parallel_starmap(add, [(1, 2)]) == [3]
-
 
 class _UnstartablePool:
     """Stand-in for ProcessPoolExecutor in a sandbox without fork."""
@@ -131,15 +119,6 @@ class TestSerialFallbackVisibility:
         assert result == [x * x for x in range(10)]
         snap = obs.snapshot()
         assert snap["counters"]["parallel.serial_fallback{kind=parallel_map}"] == 1
-
-    def test_starmap_warns_counts_and_still_answers(self, monkeypatch):
-        monkeypatch.setattr(pool, "ProcessPoolExecutor", _UnstartablePool)
-        cfg = ParallelConfig(max_workers=2, serial_threshold=1)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = parallel_starmap(add, [(i, i) for i in range(10)], cfg)
-        assert result == [2 * i for i in range(10)]
-        snap = obs.snapshot()
-        assert snap["counters"]["parallel.serial_fallback{kind=parallel_starmap}"] == 1
 
     def test_healthy_pool_does_not_warn(self, recwarn):
         cfg = ParallelConfig(max_workers=2, serial_threshold=1)

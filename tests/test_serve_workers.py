@@ -389,7 +389,7 @@ class TestFleet:
         )
         assert fleet_total == sum(per_worker)
 
-    def test_debug_traces_stitches_across_workers(self, fleet, observations):
+    def test_debug_traces_stitches_across_workers(self, fleet, observations, capsys):
         """The acceptance check: a trace is retrievable from any worker.
 
         The kernel load-balances each connection, so the worker that
@@ -397,17 +397,23 @@ class TestFleet:
         ``/debug/traces`` read are often different processes — the
         rundir merge is what joins them.
         """
+        from repro.cli import repro_main
+
         doc = observation_doc(observations[0])
         trace_id = "ab" * 16
         req = urllib.request.Request(
             fleet.url + "/v1/locate",
             data=json.dumps(doc).encode("utf-8"),
             method="POST",
-            headers={"traceparent": f"00-{trace_id}-{'cd' * 8}-01"},
+            headers={
+                "traceparent": f"00-{trace_id}-{'cd' * 8}-01",
+                "X-Request-Id": "fleet-trace-1",
+            },
         )
         with urllib.request.urlopen(req, timeout=60) as r:
             assert r.status == 200
             assert r.headers["X-Trace-Id"] == trace_id
+            assert r.headers["X-Request-Id"] == "fleet-trace-1"
         time.sleep(2.2)  # > flush_interval_s: the serving worker flushed
         # Ask repeatedly so both workers answer at least once each way.
         for _ in range(6):
@@ -419,6 +425,13 @@ class TestFleet:
             assert len(traces) == 1, body
             names = [s["name"] for s in traces[0]["spans"]]
             assert "serve.request" in names and "serve.dispatch" in names
+            assert traces[0]["request_id"] == "fleet-trace-1"
+
+        # The CLI renders the same trace as a span tree.
+        capsys.readouterr()
+        assert repro_main(["obs", "traces", fleet.url, "--trace-id", trace_id]) == 0
+        out = capsys.readouterr().out
+        assert "serve.request" in out and "serve.dispatch" in out, out
 
     def test_supervisor_restarts_killed_worker(self, fleet, observations):
         info = json.loads((fleet.rundir / "worker-0.json").read_text())

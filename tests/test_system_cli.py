@@ -263,8 +263,20 @@ class TestLocateCLI:
         db_path, obs_path = self.make_db_and_obs(tmp_path, site, house)
         with pytest.raises(SystemExit):
             locate_main([str(db_path), str(obs_path), "--chunk-size", "0"])
-        with pytest.raises(SystemExit):
-            locate_main([str(db_path), str(obs_path), "--shard", "0"])
+
+    def test_trace_renders_as_one_span_tree(self, tmp_path, site, house, capsys):
+        from repro.cli import repro_main
+
+        db_path, obs_path = self.make_db_and_obs(tmp_path, site, house)
+        trace_path = tmp_path / "t.jsonl"
+        assert locate_main([str(db_path), str(obs_path), "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert repro_main(["obs", "traces", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        # One trace for the whole command, its spans rendered beneath it.
+        assert len([l for l in out.splitlines() if l.startswith("trace ")]) == 1
+        assert "- trainingdb.load " in out
+        assert "(no spans retained)" not in out
 
     def test_batch_flags_restore_default_config(self, tmp_path, site, house):
         from repro.algorithms.engine import get_batch_config
