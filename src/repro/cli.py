@@ -51,7 +51,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "--metrics-json",
         metavar="PATH",
         help="write the structured-JSON exporter payload (labels split out, "
-        "schema-tagged; same document as the ObsServer /metrics.json endpoint)",
+        "schema-tagged; same document as `repro serve`'s /metrics.json)",
     )
     parser.add_argument(
         "--trace",
@@ -748,8 +748,8 @@ def _serve_cmd(args: argparse.Namespace) -> int:
         # server.service is the pinned default site's service: the
         # banner names the model the unprefixed routes hit.
         model = _model_banner(server.service.describe())
-        # The URL line is machine-readable on purpose: the CI smoke and
-        # the load bench launch `repro serve --port 0` and parse it.
+        # The URL line is machine-readable on purpose: the service tests
+        # and the load benches launch `repro serve --port 0` and parse it.
         print(f"serving {server.url}  model: {model}", flush=True)
         print(
             f"micro-batching: max_batch={args.max_batch} "
@@ -1047,85 +1047,6 @@ def _load_snapshot(path: str) -> dict:
     return snap
 
 
-def _obs_demo_workload(drift_offset_db: float):
-    """Populate the live registry with a small end-to-end workload.
-
-    Returns the health checks to wire into the server: the RSSI drift
-    monitor (fed live observations shifted by ``drift_offset_db`` on
-    the first AP — 0 keeps it healthy, a large offset trips it) and the
-    fallback-exhaustion check.
-    """
-    from repro.algorithms.fallback import FallbackLocalizer
-    from repro.experiments.house import ExperimentHouse, HouseConfig
-    from repro.obs.quality import APDriftMonitor, fallback_exhaustion_check
-
-    house = ExperimentHouse(HouseConfig(dwell_s=5.0))
-    db = house.training_database(rng=0)
-    chain = FallbackLocalizer().fit(db)
-    # Live traffic at the survey grid itself: position-matched to the
-    # training reference, so the drift monitor's healthy baseline is
-    # genuinely healthy and only the injected offset trips it.
-    positions = [sp.position for sp in house.training_points()]
-    observations = house.observe_all(positions, rng=1, dwell_s=5.0)
-    monitor = APDriftMonitor(db, min_samples=20)
-    for o in observations:
-        samples = o.samples.copy()
-        samples[:, 0] += drift_offset_db
-        live = type(o)(samples, bssids=o.bssids)
-        chain.locate(live)
-        monitor.observe(live)
-    monitor.status()  # compute + emit the drift gauges/alerts once
-    return [
-        ("rssi_drift", monitor.health),
-        ("fallback_exhaustion", fallback_exhaustion_check()),
-    ]
-
-
-def _obs_serve(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro import obs
-
-    checks = []
-    if args.demo:
-        print("running demo workload (simulated site, fallback chain, drift monitor)...")
-        checks = _obs_demo_workload(args.drift_offset)
-        snapshot_fn = obs.snapshot
-    elif args.snapshot:
-        path = Path(args.snapshot)
-        _load_snapshot(args.snapshot)  # validate up front
-
-        def snapshot_fn():
-            # Re-read per scrape: rewriting the file updates the scrape.
-            return json.loads(path.read_text(encoding="utf-8"))
-
-    else:
-        _fail("repro obs serve needs a snapshot file or --demo")
-
-    server = obs.ObsServer(snapshot_fn, host=args.host, port=args.port)
-    for name, check in checks:
-        server.add_health_check(name, check)
-    server.add_health_check(
-        "snapshot",
-        lambda: (True, {k: len(v) for k, v in snapshot_fn().items() if isinstance(v, dict)}),
-    )
-    server.start()
-    try:
-        print(f"serving {server.url}/metrics  /metrics.json  /healthz", flush=True)
-        if args.for_seconds is not None:
-            time.sleep(args.for_seconds)
-        else:
-            print("Ctrl-C to stop", flush=True)
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _obs_dump(args: argparse.Namespace) -> int:
     from repro import obs
 
@@ -1291,42 +1212,10 @@ def repro_main(argv: Optional[Sequence[str]] = None) -> int:
 
     obs_parser = sub.add_parser(
         "obs",
-        help="telemetry: serve /metrics over HTTP, render snapshots, diff them",
+        help="telemetry: render snapshots, diff them, render traces "
+        "(the live /metrics and /healthz are `repro serve`'s)",
     )
     obs_sub = obs_parser.add_subparsers(dest="command", required=True)
-
-    serve = obs_sub.add_parser(
-        "serve",
-        help="serve a metrics snapshot (or a --demo workload) on "
-        "/metrics, /metrics.json and /healthz",
-    )
-    serve.add_argument(
-        "snapshot", nargs="?", help="snapshot JSON written by --metrics (re-read per scrape)"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9477)
-    serve.add_argument(
-        "--demo",
-        action="store_true",
-        help="populate the registry from a small simulated workload and wire "
-        "the RSSI drift monitor + fallback health checks into /healthz",
-    )
-    serve.add_argument(
-        "--drift-offset",
-        type=float,
-        default=0.0,
-        metavar="DB",
-        help="with --demo: shift live RSSI of the first AP by DB dB "
-        "(e.g. 15 trips the drift monitor and /healthz goes degraded)",
-    )
-    serve.add_argument(
-        "--for-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="serve for S seconds then exit (default: until Ctrl-C)",
-    )
-    serve.set_defaults(func=_obs_serve)
 
     dump = obs_sub.add_parser(
         "dump", help="render a snapshot file as text, Prometheus exposition, or JSON"

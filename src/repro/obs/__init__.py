@@ -17,12 +17,14 @@ catalogue, exporter formats and the trace format):
   (``render_prometheus``) and structured JSON (``render_json``).
 * :mod:`repro.obs.compare` — ``diff_snapshots``/``render_diff``
   between two snapshots.
-* :mod:`repro.obs.server` — :class:`ObsServer`, a stdlib HTTP thread
-  serving ``/metrics``, ``/metrics.json`` and ``/healthz``.
-* :mod:`repro.obs.quality` — RSSI drift monitors and degraded-mode
-  health checks.  The one numpy-using module; import it explicitly
+* :mod:`repro.obs.quality` — the RSSI drift monitor each site of
+  ``repro serve`` feeds and reports on ``/healthz``.  The one
+  numpy-using module; import it explicitly
   (``from repro.obs.quality import APDriftMonitor``) — it is kept out
   of this namespace so everything imported here stays stdlib-only.
+
+The live endpoints (``/metrics``, ``/metrics.json``, ``/healthz``) are
+served by ``repro serve`` (:mod:`repro.serve.http`).
 
 Everything re-exported here is stdlib-only so any layer can import it
 without cycles.
@@ -47,7 +49,6 @@ from repro.obs.metrics import (
     snapshot,
 )
 from repro.obs.render import render_text
-from repro.obs.server import ObsServer
 from repro.obs.trace import (
     FlightRecorder,
     TraceContext,
@@ -66,7 +67,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObsServer",
     "TraceContext",
     "annotate",
     "bind",

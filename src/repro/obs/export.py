@@ -33,10 +33,14 @@ __all__ = [
     "json_payload",
     "JSON_SCHEMA",
     "OPENMETRICS_CONTENT_TYPE",
+    "PROMETHEUS_CONTENT_TYPE",
 ]
 
 #: Schema tag stamped into every JSON payload.
 JSON_SCHEMA = "repro.obs/2"
+
+#: What ``GET /metrics`` answers by default (text exposition 0.0.4).
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: What ``GET /metrics`` negotiates to when the scraper accepts it.
 OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"

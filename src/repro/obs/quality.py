@@ -13,12 +13,10 @@ it at serve time:
   distance** (sup-norm between the live empirical CDF and the training
   reference CDF, a per-location Gaussian mixture built from
   ``mean_matrix``/``std_matrix``).  Crossing either threshold marks
-  the AP *drifted*, increments ``quality.drift_alerts{ap=...}`` and
-  flips the monitor's :meth:`health` — wire that into
-  :meth:`repro.obs.server.ObsServer.add_health_check` and ``/healthz``
-  goes degraded while the deployment no longer matches its survey.
-* :func:`fallback_exhaustion_check` — degraded-mode health from the
-  fallback chain's own counters (``fallback.exhausted`` vs answered).
+  the AP *drifted* and increments ``quality.drift_alerts{ap=...}``.
+  ``repro serve`` keeps one monitor per resident site, feeds it every
+  scan the site decodes, and reports :meth:`APDriftMonitor.health` per
+  site in the ``rssi_drift`` check of ``/healthz``.
 
 Unlike the rest of :mod:`repro.obs` this module uses numpy (it reasons
 about RSSI matrices); it is therefore *not* imported by
@@ -30,13 +28,14 @@ about RSSI matrices); it is therefore *not* imported by
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import metrics as _metrics
 
-__all__ = ["APDriftMonitor", "fallback_exhaustion_check"]
+__all__ = ["APDriftMonitor"]
 
 
 def _gaussian_cdf(x: float) -> float:
@@ -103,18 +102,36 @@ class APDriftMonitor:
             raise ValueError(f"bad binning: range={rssi_range}, width={bin_width_db}")
         if max_ap_series is not None and max_ap_series < 1:
             raise ValueError(f"max_ap_series must be >= 1 or None, got {max_ap_series}")
+        self.db = db
         self.bssids: List[str] = list(db.bssids)
         self.mean_shift_db = float(mean_shift_db)
         self.ks_threshold = float(ks_threshold)
         self.min_samples = int(min_samples)
+        self.min_std = float(min_std)
         self.site = site
         self.max_ap_series = max_ap_series
         self._lo = float(lo)
         self._width = float(bin_width_db)
         self._n_bins = int(math.ceil((hi - lo) / bin_width_db))
+        # Handler threads feed the window while /healthz judges it.
+        self._lock = threading.Lock()
+        # The training reference is built by the first status() that
+        # judges an AP: constructing a monitor (a cold site load on the
+        # request path) only allocates the zeroed live window below.
+        self.train_mean: Optional[np.ndarray] = None
+        self.train_cdf: Optional[np.ndarray] = None
 
-        mean = np.asarray(db.mean_matrix(), dtype=float)  # (L, A)
-        std = np.asarray(db.std_matrix(min_std), dtype=float)
+        # live accumulation
+        A = len(self.bssids)
+        self._n = np.zeros(A, dtype=np.int64)
+        self._sum = np.zeros(A)
+        self._hist = np.zeros((A, self._n_bins), dtype=np.int64)
+        self._drifted = np.zeros(A, dtype=bool)
+
+    def _build_reference(self) -> None:
+        """Training means and reference CDFs (lock held; runs once)."""
+        mean = np.asarray(self.db.mean_matrix(), dtype=float)  # (L, A)
+        std = np.asarray(self.db.std_matrix(self.min_std), dtype=float)
         heard = np.isfinite(mean)
         counts = heard.sum(axis=0)
         self.train_mean = np.where(
@@ -127,7 +144,7 @@ class APDriftMonitor:
         # AP — exactly the distribution the probabilistic localizer
         # scores against, so "drifted" means "the model's world moved".
         edges = self._lo + self._width * np.arange(1, self._n_bins + 1)
-        self.train_cdf = np.full((len(self.bssids), self._n_bins), np.nan)
+        train_cdf = np.full((len(self.bssids), self._n_bins), np.nan)
         for a in range(len(self.bssids)):
             rows = np.nonzero(heard[:, a])[0]
             if rows.size == 0:
@@ -136,22 +153,12 @@ class APDriftMonitor:
                 acc = 0.0
                 for l in rows:
                     acc += _gaussian_cdf((edge - mean[l, a]) / std[l, a])
-                self.train_cdf[a, e] = acc / rows.size
-
-        # live accumulation
-        A = len(self.bssids)
-        self._n = np.zeros(A, dtype=np.int64)
-        self._sum = np.zeros(A)
-        self._hist = np.zeros((A, self._n_bins), dtype=np.int64)
-        self._drifted = np.zeros(A, dtype=bool)
+                train_cdf[a, e] = acc / rows.size
+        self.train_cdf = train_cdf
 
     # ------------------------------------------------------------------
-    def observe(self, observation) -> None:
-        """Feed one live observation (or a raw ``(sweeps, aps)`` matrix).
-
-        Observations carrying BSSIDs are aligned to the training column
-        order; bare matrices are trusted to already be in it.
-        """
+    def _aligned(self, observation) -> np.ndarray:
+        """The ``(sweeps, aps)`` matrix in training column order (or ValueError)."""
         samples = observation
         if hasattr(samples, "samples"):
             if getattr(samples, "bssids", None) and list(samples.bssids) != self.bssids:
@@ -163,21 +170,42 @@ class APDriftMonitor:
                 f"observation has {samples.shape[1]} AP columns, "
                 f"monitor expects {len(self.bssids)}"
             )
+        return samples
+
+    def _fold(self, samples: np.ndarray) -> None:
         finite = np.isfinite(samples)
-        self._n += finite.sum(axis=0)
-        self._sum += np.where(finite, samples, 0.0).sum(axis=0)
         rows, cols = np.nonzero(finite)
-        if rows.size:
-            bins = np.clip(
-                ((samples[rows, cols] - self._lo) / self._width).astype(int),
-                0,
-                self._n_bins - 1,
-            )
+        # Clip before the integer cast, which an absurd reading overflows.
+        bins = np.clip(
+            (samples[rows, cols] - self._lo) / self._width, 0, self._n_bins - 1
+        ).astype(int)
+        with self._lock:
+            self._n += finite.sum(axis=0)
+            self._sum += np.where(finite, samples, 0.0).sum(axis=0)
             np.add.at(self._hist, (cols, bins), 1)
 
+    def observe(self, observation) -> None:
+        """Feed one live observation (or a raw ``(sweeps, aps)`` matrix).
+
+        Observations carrying BSSIDs are aligned to the training column
+        order; bare matrices are trusted to already be in it.
+        """
+        self._fold(self._aligned(observation))
+
     def observe_many(self, observations: Sequence) -> None:
-        for o in observations:
-            self.observe(o)
+        """Feed a request's observations, all rows folded in one pass.
+
+        Skips (rather than raises on) a scan it cannot align: the
+        serving path feeds every decoded scan, and must never fail.
+        """
+        aligned = []
+        for observation in observations:
+            try:
+                aligned.append(self._aligned(observation))
+            except ValueError:
+                continue
+        if aligned:
+            self._fold(np.concatenate(aligned))
 
     # ------------------------------------------------------------------
     def status(self, emit: bool = True) -> Dict[str, Dict[str, object]]:
@@ -189,42 +217,45 @@ class APDriftMonitor:
         ``max_ap_series`` cap — the report covers every AP regardless,
         so nothing is lost, only the exposition is bounded.
         """
-        report: Dict[str, Dict[str, object]] = {}
-        judged: List[Tuple[str, float, float, bool, bool]] = []
-        for a, bssid in enumerate(self.bssids):
-            entry: Dict[str, object] = {"n": int(self._n[a])}
-            if self._n[a] < self.min_samples:
-                entry["judged"] = False
-                entry["drifted"] = False
+        with self._lock:
+            report: Dict[str, Dict[str, object]] = {}
+            judged: List[Tuple[str, float, float, bool, bool]] = []
+            for a, bssid in enumerate(self.bssids):
+                entry: Dict[str, object] = {"n": int(self._n[a])}
+                if self._n[a] < self.min_samples:
+                    entry["judged"] = False
+                    entry["drifted"] = False
+                    report[bssid] = entry
+                    continue
+                if self.train_cdf is None:
+                    self._build_reference()
+                live_mean = self._sum[a] / self._n[a]
+                shift = live_mean - self.train_mean[a]
+                live_cdf = np.cumsum(self._hist[a]) / self._n[a]
+                if np.all(np.isfinite(self.train_cdf[a])):
+                    ks = float(np.max(np.abs(live_cdf - self.train_cdf[a])))
+                else:
+                    ks = math.nan  # AP never heard in training: mean test only
+                drifted = bool(
+                    (math.isfinite(shift) and abs(shift) > self.mean_shift_db)
+                    or (math.isfinite(ks) and ks > self.ks_threshold)
+                )
+                entry.update(
+                    judged=True,
+                    live_mean_dbm=float(live_mean),
+                    train_mean_dbm=float(self.train_mean[a])
+                    if math.isfinite(self.train_mean[a])
+                    else None,
+                    mean_shift_db=float(shift) if math.isfinite(shift) else None,
+                    ks_distance=ks if math.isfinite(ks) else None,
+                    drifted=drifted,
+                )
                 report[bssid] = entry
-                continue
-            live_mean = self._sum[a] / self._n[a]
-            shift = live_mean - self.train_mean[a]
-            live_cdf = np.cumsum(self._hist[a]) / self._n[a]
-            if np.all(np.isfinite(self.train_cdf[a])):
-                ks = float(np.max(np.abs(live_cdf - self.train_cdf[a])))
-            else:
-                ks = math.nan  # AP never heard in training: mean test only
-            drifted = bool(
-                (math.isfinite(shift) and abs(shift) > self.mean_shift_db)
-                or (math.isfinite(ks) and ks > self.ks_threshold)
-            )
-            entry.update(
-                judged=True,
-                live_mean_dbm=float(live_mean),
-                train_mean_dbm=float(self.train_mean[a])
-                if math.isfinite(self.train_mean[a])
-                else None,
-                mean_shift_db=float(shift) if math.isfinite(shift) else None,
-                ks_distance=ks if math.isfinite(ks) else None,
-                drifted=drifted,
-            )
-            report[bssid] = entry
-            judged.append((bssid, shift, ks, drifted, drifted and not self._drifted[a]))
-            self._drifted[a] = drifted
-        if emit:
-            self._emit(judged)
-        return report
+                judged.append((bssid, shift, ks, drifted, drifted and not self._drifted[a]))
+                self._drifted[a] = drifted
+            if emit:
+                self._emit(judged)
+            return report
 
     def _severity(self, shift: float, ks: float) -> float:
         """How far past its thresholds an AP is (unitless, max of both)."""
@@ -272,7 +303,11 @@ class APDriftMonitor:
         return [b for b, e in status.items() if e.get("drifted")]
 
     def health(self) -> Tuple[bool, Dict[str, object]]:
-        """(ok, detail) in the :class:`~repro.obs.server.ObsServer` shape."""
+        """(ok, detail): ok while no judged AP has drifted.
+
+        ``detail`` counts the APs and the judged ones, and lists the
+        drifted ones with the thresholds that judged them.
+        """
         status = self.status()
         drifted = [b for b, e in status.items() if e.get("drifted")]
         judged = sum(1 for e in status.values() if e.get("judged"))
@@ -289,46 +324,9 @@ class APDriftMonitor:
 
     def reset(self) -> None:
         """Forget the live window (e.g. after re-surveying the site)."""
-        self._n[:] = 0
-        self._sum[:] = 0.0
-        self._hist[:] = 0
-        self._drifted[:] = False
+        with self._lock:
+            self._n[:] = 0
+            self._sum[:] = 0.0
+            self._hist[:] = 0
+            self._drifted[:] = False
 
-
-def fallback_exhaustion_check(
-    max_ratio: float = 0.25,
-    min_requests: int = 20,
-    registry: Optional[_metrics.MetricsRegistry] = None,
-):
-    """Health check: the degraded-mode chain still answers.
-
-    Reads the ``fallback.*`` counters (see
-    :mod:`repro.algorithms.fallback`) from ``registry`` (default: the
-    global one) and fails once more than ``max_ratio`` of chain
-    requests exhausted every tier.  Returns a callable in the
-    :class:`~repro.obs.server.ObsServer` health-check shape.
-    """
-    if not 0 <= max_ratio <= 1:
-        raise ValueError(f"max_ratio must be in [0, 1], got {max_ratio}")
-
-    def check() -> Tuple[bool, Dict[str, object]]:
-        reg = registry if registry is not None else _metrics.get_registry()
-        counters = reg.snapshot()["counters"]
-        answered = sum(
-            v for k, v in counters.items() if k.startswith("fallback.answered")
-        )
-        exhausted = int(counters.get("fallback.exhausted", 0))
-        total = answered + exhausted
-        detail: Dict[str, object] = {
-            "answered": answered,
-            "exhausted": exhausted,
-            "max_ratio": max_ratio,
-        }
-        if total < min_requests:
-            detail["note"] = f"insufficient traffic ({total} < {min_requests})"
-            return True, detail
-        ratio = exhausted / total
-        detail["ratio"] = round(ratio, 4)
-        return ratio <= max_ratio, detail
-
-    return check

@@ -24,9 +24,12 @@ tracking sessions:
   deadline and admission semantics as ``/v1/locate``.  ``GET`` reads
   the current estimate, ``DELETE`` closes the session (exactly once).
 * ``GET /healthz`` — model / dispatcher / queue-headroom / breaker /
-  lifecycle checks plus any caller-registered ones, same report shape
-  as :class:`~repro.obs.server.ObsServer` (200 ok / 503 degraded; a
-  draining instance reports 503 so load balancers eject it).
+  session / lifecycle / registry / RSSI-drift checks as
+  ``{"status", "checks": {name: {ok, detail}}}`` (200 ok / 503
+  degraded; a draining instance reports 503 so load balancers eject
+  it).  Every scan a site decodes feeds that site's
+  :class:`~repro.obs.quality.APDriftMonitor`; the ``rssi_drift`` check
+  reports each resident site's drifted APs but never fails.
 * ``GET /metrics`` and ``GET /metrics.json`` — the
   :mod:`repro.obs.export` exporters over the live registry.  A scraper
   accepting ``application/openmetrics-text`` gets real cumulative-le
@@ -86,13 +89,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
+from repro.algorithms.base import Observation
 from repro.obs.export import (
     OPENMETRICS_CONTENT_TYPE,
+    PROMETHEUS_CONTENT_TYPE,
     render_json,
     render_openmetrics,
     render_prometheus,
 )
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, HealthCheck, run_health_checks
 from repro.obs.trace import SNAPSHOT_SCHEMA as TRACE_SCHEMA
 from repro.serve.batcher import DeadlineExceededError, MicroBatcher, QueueFullError
 from repro.serve.clock import SystemClock
@@ -182,6 +186,31 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Cap on observations per /v1/locate/batch request.
 MAX_BATCH_REQUEST = 4096
+
+#: A health check: () -> (ok, detail).  ``detail`` may be any
+#: JSON-serializable value (string, dict of per-site findings, ...).
+HealthCheck = Callable[[], Tuple[bool, object]]
+
+
+def run_health_checks(
+    checks: List[Tuple[str, HealthCheck]]
+) -> Tuple[bool, Dict[str, object]]:
+    """Run named checks: (all_ok, JSON-ready ``/healthz`` report).
+
+    A check that raises is itself a failed check (the endpoint must
+    never 500 out of a monitor bug), recorded with the exception.  The
+    report's shape is ``{"status": ..., "checks": {name: {ok, detail}}}``.
+    """
+    report: Dict[str, object] = {}
+    all_ok = True
+    for name, check in checks:
+        try:
+            ok, detail = check()
+        except Exception as exc:  # noqa: BLE001 - monitor bugs degrade, not crash
+            ok, detail = False, f"check error: {type(exc).__name__}: {exc}"
+        report[name] = {"ok": bool(ok), "detail": detail}
+        all_ok = all_ok and bool(ok)
+    return all_ok, {"status": "ok" if all_ok else "degraded", "checks": report}
 
 
 class _ApiError(Exception):
@@ -581,7 +610,7 @@ class LocalizationHTTPServer:
         owner: "LocalizationHTTPServer"
 
         def service_actions(self):
-            self.owner._ready.set()  # same event-based readiness as ObsServer
+            self.owner._ready.set()  # start() waits for the first poll-loop pass
 
     def __init__(
         self,
@@ -663,6 +692,7 @@ class LocalizationHTTPServer:
             ("sessions", self._sessions_check),
             ("lifecycle", self._lifecycle_check),
             ("registry", self._registry_check),
+            ("rssi_drift", self._drift_check),
         ]
         self._httpd: Optional[LocalizationHTTPServer._HTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -711,10 +741,17 @@ class LocalizationHTTPServer:
             return False, {"phase": "draining", "report": self._drain_report}
         return True, {"phase": "serving"}
 
-    def add_health_check(self, name: str, check: HealthCheck) -> "LocalizationHTTPServer":
-        """Register an extra named ``/healthz`` check (drift monitors...)."""
-        self._checks.append((name, check))
-        return self
+    def _drift_check(self):
+        """Each resident site's RSSI drift, keyed by site id; never fails.
+
+        Drift is a detail, not an ejection: the monitor compares live
+        traffic with the whole survey, so traffic clustered at a few
+        spots can mark APs drifted on a server whose answers are fine.
+        """
+        return True, {
+            runtime.site_id: runtime.drift_monitor().health()[1]
+            for runtime in self.registry.resident()
+        }
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "LocalizationHTTPServer":
@@ -894,9 +931,10 @@ class LocalizationHTTPServer:
 
         The tightest of the ``X-Deadline-Ms`` header and the body's
         ``deadline_ms`` wins; ``default_deadline_ms`` applies only when
-        neither is present.  Invalid values are 400s; a non-positive
-        *header* budget is a 504 (the client's clock says the request
-        is already dead — distinct from a malformed body deadline).
+        neither is present.  Invalid values — non-numeric or
+        non-finite — are 400s; a non-positive *header* budget is a 504
+        (the client's clock says the request is already dead — distinct
+        from a malformed body deadline).
         """
         budgets: List[float] = []
         body_ms = (doc or {}).get("deadline_ms")
@@ -906,9 +944,9 @@ class LocalizationHTTPServer:
             except (TypeError, ValueError):
                 raise _ApiError(400, "bad_deadline",
                                 f"deadline_ms not a number: {body_ms!r}") from None
-            if body_s <= 0:
+            if not math.isfinite(body_s) or body_s <= 0:
                 raise _ApiError(400, "bad_deadline",
-                                f"deadline_ms must be > 0, got {body_ms}")
+                                f"deadline_ms must be finite and > 0, got {body_ms}")
             budgets.append(body_s)
         header_ms = handler.headers.get(DEADLINE_HEADER)
         if header_ms is not None:
@@ -920,6 +958,9 @@ class LocalizationHTTPServer:
             if header_s <= 0:
                 raise _ApiError(504, "deadline_exceeded",
                                 f"{DEADLINE_HEADER} budget already spent ({header_ms}ms)")
+            if not math.isfinite(header_s):
+                raise _ApiError(400, "bad_deadline",
+                                f"{DEADLINE_HEADER} must be finite, got {header_ms!r}")
             budgets.append(header_s)
         if not budgets and self.default_deadline_ms is not None:
             budgets.append(float(self.default_deadline_ms) / 1000.0)
@@ -976,16 +1017,31 @@ class LocalizationHTTPServer:
         finally:
             self.registry.release(runtime)
 
+    @staticmethod
+    def _decode(view: SiteRuntime, docs: List[object]) -> List[Observation]:
+        """Decode a request's observation documents for the leased site.
+
+        A malformed document is a 400 ``bad_observation``.  The decoded
+        scans feed the site's drift monitor in one pass; it skips scans
+        it cannot align, so the feed never fails a request and never
+        touches an answer.
+        """
+        try:
+            observations = [
+                observation_from_json(d, expect_site=view.site_id) for d in docs
+            ]
+        except WireError as exc:
+            raise _ApiError(400, "bad_observation", str(exc)) from None
+        view.drift_monitor().observe_many(observations)
+        return observations
+
     def _handle_locate(self, handler: _Handler, site: Optional[str] = None) -> _Route:
         with self._leased(site) as view:
             shed = self.admission.admit(Priority.NORMAL, view.batcher.queue_depth())
             if shed is not None:
                 raise self._shed(shed, batcher=view.batcher)
             doc = handler._read_json()
-            try:
-                observation = observation_from_json(doc, expect_site=view.site_id)
-            except WireError as exc:
-                raise _ApiError(400, "bad_observation", str(exc)) from None
+            (observation,) = self._decode(view, [doc])
             budget_s = self._deadline_from(handler, doc if isinstance(doc, dict) else None)
             deadline = None if budget_s is None else self._clock.monotonic() + budget_s
             if self.chaos is not None:
@@ -1028,12 +1084,7 @@ class LocalizationHTTPServer:
                     413, "batch_too_large",
                     f"{len(docs)} observations exceed the {MAX_BATCH_REQUEST} cap; split the request",
                 )
-            try:
-                observations = [
-                    observation_from_json(d, expect_site=view.site_id) for d in docs
-                ]
-            except WireError as exc:
-                raise _ApiError(400, "bad_observation", str(exc)) from None
+            observations = self._decode(view, docs)
             # A non-positive header budget 504s before any kernel time is
             # spent on a batch the client has already given up on.
             self._deadline_from(handler, None)
@@ -1073,10 +1124,7 @@ class LocalizationHTTPServer:
         if shed is not None:
             raise self._shed(shed, sessions.batcher)
         doc = handler._read_json()
-        try:
-            observation = observation_from_json(doc, expect_site=view.site_id)
-        except WireError as exc:
-            raise _ApiError(400, "bad_observation", str(exc)) from None
+        (observation,) = self._decode(view, [doc])
         dt_s = None
         if isinstance(doc, dict) and doc.get("dt_s") is not None:
             try:
@@ -1086,6 +1134,9 @@ class LocalizationHTTPServer:
                                 f"dt_s not a number: {doc['dt_s']!r}") from None
             if dt_s <= 0:
                 raise _ApiError(400, "bad_dt", f"dt_s must be > 0, got {doc['dt_s']}")
+            if not math.isfinite(dt_s):
+                # A NaN/infinite step would poison the session's filter.
+                raise _ApiError(400, "bad_dt", f"dt_s must be finite, got {doc['dt_s']}")
         ts = None
         if isinstance(doc, dict) and doc.get("ts") is not None:
             # Client scan timestamp (seconds, any consistent epoch):
@@ -1242,6 +1293,10 @@ class LocalizationHTTPServer:
                 except (TypeError, ValueError):
                     raise _ApiError(400, "bad_request",
                                     f"deadline_s not a number: {doc['deadline_s']!r}") from None
+                if not math.isfinite(deadline_s):
+                    # NaN never runs out: the drain would ignore its bound.
+                    raise _ApiError(400, "bad_request",
+                                    f"deadline_s must be finite, got {doc['deadline_s']}")
         with self._inflight_cond:
             already = self._draining
         if not already:

@@ -13,7 +13,10 @@ behind it":
   fitted service, a per-site locate :class:`~repro.serve.batcher.
   MicroBatcher` (batches never coalesce across sites — one dispatch,
   one model), per-site :class:`~repro.serve.sessions.TrackingSessions`
-  and a per-site drift monitor, all created lazily on first use.
+  and a per-site RSSI drift monitor
+  (:class:`~repro.obs.quality.APDriftMonitor`) fed every scan the site
+  decodes, all created lazily on first use.  Evicting a site drops its
+  live drift window with it.
 * :class:`ModelRegistry` — the bounded LRU of resident runtimes, and
   the only owner of serving runtimes: a single building is served as
   a one-site registry (:func:`one_site_fleet`,
@@ -53,6 +56,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro import obs
 from repro.core.geometry import Point
 from repro.core.trainingdb import TrainingDatabase
+from repro.obs.quality import APDriftMonitor
 from repro.serve.batcher import MicroBatcher
 from repro.serve.service import LocalizationService
 from repro.serve.sessions import TrackingSessions
@@ -247,7 +251,9 @@ class SiteRuntime:
     created on first use so a site that only ever sees batch requests
     never starts a dispatcher thread it doesn't need.  ``pins`` counts
     in-flight leases — the registry never evicts a pinned runtime.  The
-    registry names the dispatchers through the configs' ``name`` keys.
+    registry names the dispatchers through the configs' ``name`` keys
+    and labels the drift monitor's series with ``site_label``
+    (:meth:`ModelRegistry.site_label`).
     """
 
     def __init__(
@@ -257,9 +263,11 @@ class SiteRuntime:
         batch_config: Optional[Dict[str, object]] = None,
         track_config: Optional[Dict[str, object]] = None,
         clock=None,
+        site_label: Optional[str] = None,
     ):
         self.definition = definition
         self.site_id = definition.site_id
+        self._site_label = site_label
         self.service = service
         self.pins = 0  # guarded by the owning registry's lock
         self._clock = clock
@@ -268,7 +276,7 @@ class SiteRuntime:
         self._lock = threading.Lock()
         self._batcher: Optional[MicroBatcher] = None
         self._sessions: Optional[TrackingSessions] = None
-        self._drift = None
+        self._drift: Optional[APDriftMonitor] = None
         self._closed = False
 
     @property
@@ -305,21 +313,18 @@ class SiteRuntime:
                 ).start()
             return self._sessions
 
-    def drift_monitor(self, **kwargs):
-        """This site's :class:`~repro.obs.quality.APDriftMonitor` (lazy).
+    def drift_monitor(self) -> APDriftMonitor:
+        """This site's RSSI drift monitor, judged against the served survey.
 
-        Site-labelled and per-AP-capped so fleet ``/metrics`` stays
-        bounded (``sites × cap`` series, not ``sites × APs``).
+        Labelled with ``site_label`` and per-AP-capped so fleet
+        ``/metrics`` stays bounded (``sites × cap`` series, not
+        ``sites × APs``).  A reload swaps the survey, so the next call
+        starts a fresh monitor and live window against the new one.
         """
+        db = self.service.model().db
         with self._lock:
-            if self._closed:
-                raise RuntimeError(f"site runtime {self.site_id!r} is closed")
-            if self._drift is None:
-                from repro.obs.quality import APDriftMonitor
-
-                self._drift = APDriftMonitor(
-                    self.service.model().db, site=self.site_id, **kwargs
-                )
+            if self._drift is None or self._drift.db is not db:
+                self._drift = APDriftMonitor(db, site=self._site_label)
             return self._drift
 
     def rebind_sessions(self) -> Optional[Dict[str, int]]:
@@ -599,6 +604,7 @@ class ModelRegistry:
             batch_config={**self._batch_config, "name": "http" + suffix},
             track_config={**self._track_config, "name": "track" + suffix},
             clock=self._clock,
+            site_label=label,
         )
 
     def _load(self, sid: str, flight: _Flight) -> SiteRuntime:
@@ -712,6 +718,15 @@ class ModelRegistry:
             **counters,
         }
 
+    def resident(self) -> List[SiteRuntime]:
+        """The resident runtimes, LRU first.
+
+        Unpinned: a snapshot for reporting (``/healthz``), not a lease —
+        a runtime in it may be evicted while the caller reads it.
+        """
+        with self._lock:
+            return list(self._resident.values())
+
     def drain(self) -> None:
         """Stop every resident runtime's dispatchers, keeping them resident.
 
@@ -719,9 +734,7 @@ class ModelRegistry:
         stays open, so a draining server still answers tracking reads
         and closes from the session stores.
         """
-        with self._lock:
-            runtimes = list(self._resident.values())
-        for runtime in runtimes:
+        for runtime in self.resident():
             runtime.drain()
 
     def close(self) -> None:

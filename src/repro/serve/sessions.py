@@ -532,8 +532,8 @@ class TrackingSessions:
         """
         if dt_s is not None:
             dt: Optional[float] = float(dt_s)
-            if dt <= 0:
-                raise ValueError(f"dt_s must be > 0, got {dt_s}")
+            if not 0 < dt < math.inf:
+                raise ValueError(f"dt_s must be finite and > 0, got {dt_s}")
         elif ts is not None:
             dt = None  # resolved at apply time, under the session lock
         else:

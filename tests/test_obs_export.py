@@ -1,17 +1,13 @@
-"""Exporters, snapshot diffing and the live ObsServer endpoint."""
+"""Exporters, snapshot diffing and the `repro obs dump` renderer."""
 
 import json
 import re
-import urllib.error
-import urllib.request
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.obs.export import JSON_SCHEMA, json_payload, render_json, render_prometheus
 from repro.obs.compare import diff_snapshots, render_diff
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObsServer
 
 
 @pytest.fixture()
@@ -189,137 +185,16 @@ class TestDiff:
         assert text.index("  a ") < text.index("  b ")
 
 
-def _get(url):
-    try:
-        with urllib.request.urlopen(url) as r:
-            return r.status, dict(r.headers), r.read().decode()
-    except urllib.error.HTTPError as e:
-        return e.code, dict(e.headers), e.read().decode()
+class TestObsDump:
+    def test_dump_renders_a_snapshot_file_as_exposition(self, tmp_path, capsys):
+        """``repro obs dump --format prometheus``: a snapshot file's exposition."""
+        from repro.cli import repro_main
 
-
-@pytest.mark.service
-class TestObsServer:
-    def test_start_is_ready_immediately(self, registry):
-        """start() returns only once serve_forever is polling.
-
-        The readiness handshake is event-based (``service_actions``),
-        so the very first request after ``start()`` must succeed — no
-        connection-refused window, no sleep-and-retry.
-        """
-        for _ in range(5):  # a startup race would flake across restarts
-            server = ObsServer()
-            server.start()
-            try:
-                status, _, _ = _get(server.url + "/healthz")
-                assert status == 200
-            finally:
-                server.stop()
-
-    def test_metrics_endpoint_serves_valid_exposition(self, registry):
-        _populate()
-        with ObsServer() as server:
-            status, headers, body = _get(server.url + "/metrics")
-        assert status == 200
-        assert headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
-        _assert_valid_exposition(body)
-        assert "repro_batch_requests_total" in body
-        assert "repro_pool_workers 4" in body
-        assert "repro_locate_latency_ms_count" in body
-
-    def test_metrics_json_endpoint(self, registry):
-        _populate()
-        with ObsServer() as server:
-            status, headers, body = _get(server.url + "/metrics.json")
-        assert status == 200
-        assert headers["Content-Type"] == "application/json"
-        assert json.loads(body)["schema"] == JSON_SCHEMA
-
-    def test_healthz_ok_then_degraded(self, registry):
-        healthy = [True]
-        server = ObsServer().add_health_check(
-            "toggle", lambda: (healthy[0], "state")
+        path = tmp_path / "snap.json"
+        path.write_text(
+            json.dumps({"counters": {"frozen": 7}, "gauges": {}, "histograms": {}})
         )
-        with server:
-            status, _, body = _get(server.url + "/healthz")
-            assert status == 200 and json.loads(body)["status"] == "ok"
-            healthy[0] = False
-            status, _, body = _get(server.url + "/healthz")
-            report = json.loads(body)
-            assert status == 503
-            assert report["status"] == "degraded"
-            assert report["checks"]["toggle"]["ok"] is False
-
-    def test_raising_check_degrades_not_crashes(self, registry):
-        def bad_check():
-            raise RuntimeError("monitor bug")
-
-        with ObsServer().add_health_check("bad", bad_check) as server:
-            status, _, body = _get(server.url + "/healthz")
-        assert status == 503
-        assert "RuntimeError" in json.loads(body)["checks"]["bad"]["detail"]
-
-    def test_unknown_path_404(self, registry):
-        with ObsServer() as server:
-            status, _, _ = _get(server.url + "/nope")
-        assert status == 404
-
-    def test_custom_snapshot_fn(self, registry):
-        snap = {"counters": {"frozen": 7}, "gauges": {}, "histograms": {}}
-        with ObsServer(lambda: snap) as server:
-            _, _, body = _get(server.url + "/metrics")
-        assert "repro_frozen_total 7" in body
-
-    def test_port_is_real_and_url_matches(self, registry):
-        with ObsServer() as server:
-            assert server.port > 0
-            assert server.url == f"http://127.0.0.1:{server.port}"
-        with pytest.raises(RuntimeError):
-            server.port
-
-
-class _FakeDb:
-    """Duck-typed TrainingDatabase: two APs at known Gaussian levels."""
-
-    bssids = ["ap-one", "ap-two"]
-
-    def mean_matrix(self):
-        return np.array([[-50.0, -70.0], [-52.0, -72.0]])
-
-    def std_matrix(self, min_std=0.5):
-        return np.full((2, 2), 3.0)
-
-
-@pytest.mark.service
-class TestHealthzDriftFlip:
-    """Acceptance: /healthz flips degraded when live RSSI drifts."""
-
-    def test_injected_ap_offset_degrades_healthz(self, registry):
-        from repro.obs.quality import APDriftMonitor
-
-        rng = np.random.default_rng(0)
-        monitor = APDriftMonitor(_FakeDb(), min_samples=50)
-        with ObsServer().add_health_check("rssi_drift", monitor.health) as server:
-            # Live traffic matching training: healthy.
-            matched = np.stack(
-                [rng.normal(-51.0, 3.0, 200), rng.normal(-71.0, 3.0, 200)], axis=1
-            )
-            monitor.observe(matched)
-            status, _, body = _get(server.url + "/healthz")
-            assert status == 200, body
-            assert json.loads(body)["status"] == "ok"
-
-            # The first AP moves 15 dB (power change / relocation).
-            shifted = matched.copy()
-            shifted[:, 0] += 15.0
-            monitor.observe(shifted)
-            status, _, body = _get(server.url + "/healthz")
-            report = json.loads(body)
-            assert status == 503
-            assert report["status"] == "degraded"
-            assert "ap-one" in report["checks"]["rssi_drift"]["detail"]["drifted"]
-            assert "ap-two" not in report["checks"]["rssi_drift"]["detail"]["drifted"]
-
-        # The incident is on the alert counters too.
-        counters = obs.snapshot()["counters"]
-        assert counters["quality.drift_alerts{ap=ap-one}"] == 1
-        assert counters["quality.alert{kind=rssi_drift}"] == 1
+        assert repro_main(["obs", "dump", str(path), "--format", "prometheus"]) == 0
+        out = capsys.readouterr().out
+        _assert_valid_exposition(out)
+        assert "repro_frozen_total 7" in out

@@ -1,11 +1,13 @@
-"""Quality telemetry: RSSI drift monitors, health checks, confidence."""
+"""Quality telemetry: RSSI drift monitors, confidence, degraded answers."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.quality import APDriftMonitor, fallback_exhaustion_check
+from repro.obs.quality import APDriftMonitor
 
 
 @pytest.fixture()
@@ -22,8 +24,10 @@ class _Db:
         self._means = np.asarray(means, dtype=float)  # (L, A)
         self._std = std
         self.bssids = [f"ap{i}" for i in range(self._means.shape[1])]
+        self.mean_calls = 0
 
     def mean_matrix(self):
+        self.mean_calls += 1
         return self._means.copy()
 
     def std_matrix(self, min_std=0.5):
@@ -100,6 +104,62 @@ class TestAPDriftMonitor:
         with pytest.raises(ValueError, match="AP columns"):
             APDriftMonitor(_db2()).observe(np.zeros((5, 3)))
 
+    def test_observe_many_skips_what_it_cannot_align(self, registry):
+        from repro.algorithms.base import Observation
+
+        rng = np.random.default_rng(8)
+        good = _live(rng, -51.0, -71.0, n=30)
+        m = APDriftMonitor(_db2(), min_samples=10)
+        m.observe_many([
+            good,
+            Observation(rng.normal(-60.0, 3.0, (5, 3))),  # 3 bare columns vs 2
+            Observation(good[:, ::-1], bssids=["ap1", "ap0"]),
+        ])
+        ref = APDriftMonitor(_db2(), min_samples=10)
+        ref.observe(good)
+        ref.observe(good)
+        # Same window as feeding the two alignable scans one by one; one
+        # pass sums the rows in another order, so means match to rounding.
+        np.testing.assert_array_equal(m._hist, ref._hist)
+        np.testing.assert_allclose(m._sum, ref._sum, rtol=1e-12)
+        assert [e["n"] for e in m.status(emit=False).values()] == [60, 60]
+
+    def test_reference_is_built_by_the_first_judging_status(self, registry):
+        db = _db2()
+        m = APDriftMonitor(db)
+        m.status()  # nothing judged yet: no reference needed
+        assert db.mean_calls == 0 and m.train_cdf is None
+        m.observe(_live(np.random.default_rng(9), -51.0, -71.0))
+        m.status()
+        m.status()
+        assert db.mean_calls == 1 and m.train_cdf.shape == (2, 40)
+
+    def test_concurrent_feeds_lose_no_reading(self, registry):
+        m = APDriftMonitor(_db2())
+        rows = _live(np.random.default_rng(10), -51.0, -71.0, n=5)
+        threads, per_thread = 8, 200
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [m.observe_many([rows]) for _ in range(per_thread)]
+                )
+                for _ in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for _ in range(20):
+                m.status()  # /healthz reads while handler threads feed
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(previous)
+        total = threads * per_thread * 5
+        assert [e["n"] for e in m.status().values()] == [total, total]
+        assert int(m._hist.sum()) == 2 * total
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             APDriftMonitor(_db2(), mean_shift_db=0.0)
@@ -147,36 +207,6 @@ class TestAPDriftMonitor:
         positions = [sp.position for sp in house.training_points()]
         m.observe_many(house.observe_all(positions, rng=9, dwell_s=5.0))
         assert m.drifted_aps() == []
-
-
-class TestFallbackExhaustionCheck:
-    def test_insufficient_traffic_passes(self, registry):
-        obs.counter("fallback.exhausted").inc(5)
-        ok, detail = fallback_exhaustion_check(min_requests=20)()
-        assert ok and "insufficient" in detail["note"]
-
-    def test_healthy_ratio_passes(self, registry):
-        obs.counter("fallback.answered", tier="nearest").inc(90)
-        obs.counter("fallback.exhausted").inc(10)
-        ok, detail = fallback_exhaustion_check(max_ratio=0.25)()
-        assert ok and detail["ratio"] == 0.1
-
-    def test_exhaustion_ratio_fails(self, registry):
-        obs.counter("fallback.answered", tier="nearest").inc(10)
-        obs.counter("fallback.exhausted").inc(15)
-        ok, detail = fallback_exhaustion_check(max_ratio=0.25)()
-        assert not ok and detail["ratio"] == 0.6
-
-    def test_explicit_registry(self):
-        reg = MetricsRegistry()
-        reg.counter("fallback.answered", tier="t").inc(5)
-        reg.counter("fallback.exhausted").inc(95)
-        ok, _ = fallback_exhaustion_check(registry=reg)()
-        assert not ok
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            fallback_exhaustion_check(max_ratio=1.5)
 
 
 class TestConfidenceAndDegradedTelemetry:

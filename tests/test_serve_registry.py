@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.algorithms.base import Observation
 from repro.core.geometry import Point
+from repro.obs.quality import APDriftMonitor
 from repro.serve.registry import (
     ModelRegistry,
     SiteDefinition,
@@ -378,8 +379,13 @@ class TestMetricCardinality:
             for sid in sorted(sites):
                 with registry.lease(sid) as runtime:
                     runtime.service.locate_many([probe_observation()])
-                    monitor = runtime.drift_monitor(
-                        min_samples=5, max_ap_series=self.DRIFT_CAP
+                    # The served monitor's own cap (12) exceeds the 4
+                    # APs here; a smaller one makes the cap bind.
+                    monitor = APDriftMonitor(
+                        runtime.service.model().db,
+                        site=registry.site_label(sid),
+                        min_samples=5,
+                        max_ap_series=self.DRIFT_CAP,
                     )
                     live = rng.normal(-55.0, 3.0, size=(20, 4))
                     monitor.observe(live)

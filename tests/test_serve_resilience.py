@@ -461,15 +461,25 @@ class TestDeadlineHeader:
                 headers={DEADLINE_HEADER: "-5"},
             )
             assert status == 504
+            status, _, _ = _post(
+                server.url + "/v1/locate", _observation_doc(observations[0]),
+                headers={DEADLINE_HEADER: "-inf"},
+            )
+            assert status == 504
 
     def test_unparseable_header_is_400(self, http_service, observations):
+        # Non-finite budgets are malformed too: NaN never expires and
+        # infinity overflows the deadline clock.
+        answers = []
         with LocalizationHTTPServer(http_service) as server:
-            status, _, body = _post(
-                server.url + "/v1/locate", _observation_doc(observations[0]),
-                headers={DEADLINE_HEADER: "soon"},
-            )
-        assert status == 400
-        assert json.loads(body)["error"] == "bad_deadline"
+            for value in ("soon", "nan", "inf"):
+                for path in ("/v1/locate", "/v1/track/dev-1"):
+                    answers.append(_post(
+                        server.url + path, _observation_doc(observations[0]),
+                        headers={DEADLINE_HEADER: value},
+                    ))
+        assert [status for status, _, _ in answers] == [400] * 6
+        assert all(json.loads(body)["error"] == "bad_deadline" for _, _, body in answers)
 
     def test_tightest_deadline_wins(self, http_service, observations):
         """Header 50ms beats body 1h: the queued request expires at 50ms.
@@ -584,6 +594,16 @@ class TestGracefulDrain:
             status, _, body = _post(server.url + "/admin/drain")
             assert status == 200
             assert json.loads(body)["already_draining"] is True
+
+    def test_non_finite_drain_deadline_is_400(self, http_service):
+        with LocalizationHTTPServer(http_service) as server:
+            answers = [
+                _post(server.url + "/admin/drain", {"deadline_s": value})
+                for value in (float("nan"), float("inf"))
+            ]
+            assert not server.draining
+        assert [status for status, _, _ in answers] == [400, 400]
+        assert all(json.loads(body)["error"] == "bad_request" for _, _, body in answers)
 
     def test_direct_drain_call_reports_clean(self, http_service):
         with LocalizationHTTPServer(http_service) as server:

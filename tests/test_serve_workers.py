@@ -11,7 +11,9 @@ The ``service`` half boots a real two-worker fleet through the CLI in a
 subprocess and checks the acceptance contract end to end: the banner,
 per-worker readiness files, ``/metrics.json`` totals equal to the sum
 of the per-worker dumps, crash-restart by the supervisor, and a clean
-``drain complete: unfinished=0`` exit on SIGTERM.
+``drain complete: unfinished=0`` exit on SIGTERM.  The single-process
+``repro serve DB`` gets the same treatment under 200 concurrent
+clients.
 """
 
 from __future__ import annotations
@@ -302,26 +304,11 @@ class _Fleet:
         return self.output
 
 
-@pytest.fixture(scope="module")
-def fleet(tmp_path_factory, site_fleet):
-    root = tmp_path_factory.mktemp("fleet")
-    # The shared site fleet's frozen pack: the same mmap-shareable
-    # .tdbx every suite uses, rather than freezing another copy here.
-    pack = site_fleet.packs["site-b"]
-    rundir = root / "run"
+def _spawn_serve(args):
+    """Launch ``repro serve ARGS``; read its banner up to the ready line."""
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
-        _LAUNCHER
-        + [
-            "serve",
-            str(pack),
-            "--port",
-            "0",
-            "--workers",
-            "2",
-            "--rundir",
-            str(rundir),
-        ],
+        _LAUNCHER + ["serve", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -340,6 +327,19 @@ def fleet(tmp_path_factory, site_fleet):
         proc.kill()
         proc.communicate(timeout=10)
         raise
+    return proc, url, banner
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory, site_fleet):
+    root = tmp_path_factory.mktemp("fleet")
+    # The shared site fleet's frozen pack: the same mmap-shareable
+    # .tdbx every suite uses, rather than freezing another copy here.
+    pack = site_fleet.packs["site-b"]
+    rundir = root / "run"
+    proc, url, banner = _spawn_serve(
+        [str(pack), "--port", "0", "--workers", "2", "--rundir", str(rundir)]
+    )
     handle = _Fleet(proc, url, rundir, banner)
     yield handle
     if handle.proc.poll() is None:
@@ -458,3 +458,58 @@ class TestFleet:
         for i in (0, 1):
             report = json.loads((fleet.rundir / f"drain-{i}.json").read_text())
             assert report["unfinished"] == 0
+
+
+@pytest.mark.service
+class TestSingleProcessServe:
+    def test_burst_of_clients_gets_200_or_429_and_healthz_stays_ok(self, site_fleet):
+        """200 concurrent clients against the real ``repro serve DB``.
+
+        Admission-control 429s are legitimate under a burst; any other
+        answer is a failure.  ``/healthz`` stays ok under load (drift
+        is reported, never failing) and ``/metrics`` carries the
+        request and batch series.
+        """
+        from repro.core.trainingdb import TrainingDatabase
+
+        pack = site_fleet.packs["site-a"]
+        db = TrainingDatabase.load(pack)
+        bodies = [
+            json.dumps({"samples": [row], "bssids": list(db.bssids)}).encode("utf-8")
+            for row in db.mean_matrix().tolist()
+        ]
+        proc, url, _ = _spawn_serve([pack, "--port", "0"])
+        try:
+            statuses, lock = [], threading.Lock()
+
+            def client(i):
+                req = urllib.request.Request(
+                    url + "/v1/locate", data=bodies[i % len(bodies)], method="POST",
+                    headers={"Content-Type": "application/json"},
+                )
+                try:
+                    with urllib.request.urlopen(req, timeout=60) as r:
+                        status = r.status
+                except urllib.error.HTTPError as e:
+                    status = e.code
+                with lock:
+                    statuses.append(status)
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(200)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            status, health = request(url + "/healthz")
+            _, metrics = request(url + "/metrics")
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=60)
+        assert len(statuses) == 200
+        assert set(statuses) <= {200, 429}, sorted(set(statuses))
+        report = json.loads(health)
+        assert status == 200 and report["status"] == "ok", report
+        assert "rssi_drift" in report["checks"]
+        assert b"repro_serve_http_requests_total" in metrics
+        assert b"repro_serve_batch_size" in metrics
