@@ -26,6 +26,7 @@ window"; these are the equivalents (installed as console scripts):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -590,8 +591,8 @@ def _chaos_kwargs(args: argparse.Namespace):
     dispatch latency + tier faults); any explicit ``--chaos-*`` rate
     overrides the defaults.  Without ``--chaos`` the knobs are inert —
     chaos must be asked for by name.  Returned as kwargs (not a
-    policy) so ``--workers`` can ship them to worker processes, each
-    of which builds its own seed-offset policy.
+    policy) for :class:`~repro.serve.workers.WorkerSpec`, from which
+    each worker builds its own seed-offset policy.
     """
     if not args.chaos:
         return None
@@ -616,52 +617,31 @@ def _chaos_kwargs(args: argparse.Namespace):
     }
 
 
-def _build_chaos(args: argparse.Namespace):
-    """--chaos → a ChaosPolicy (None when the harness is off)."""
-    kwargs = _chaos_kwargs(args)
-    if kwargs is None:
-        return None
-    from repro.serve import ChaosPolicy
-
-    try:
-        return ChaosPolicy(**kwargs)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
-def _model_banner(info: dict) -> str:
-    """The model clause of the machine-readable ``serving`` line."""
-    model = f"{info['algorithm']} ({info['locations']} locations, {info['aps']} APs"
-    if info.get("tiers"):
-        model += f"; tiers: {'>'.join(info['tiers'])}"
-    model += ")"
-    return model
-
-
-def _serve_cmd(args: argparse.Namespace) -> int:
-    import os
-    import signal
-    import threading
-
-    from repro.core.floorplan import FloorPlan, FloorPlanError
-    from repro.core.system import ap_positions_by_bssid, site_bounds
-    from repro.serve import LocalizationHTTPServer, ModelRegistry
-    from repro.serve.registry import one_site_fleet
-
-    if args.max_batch < 1:
-        _fail(f"--max-batch must be >= 1, got {args.max_batch}")
-    if args.max_wait_ms < 0:
-        _fail(f"--max-wait-ms must be >= 0, got {args.max_wait_ms}")
-    if args.max_queue < 1:
-        _fail(f"--max-queue must be >= 1, got {args.max_queue}")
-    if args.session_capacity < 1:
-        _fail(f"--session-capacity must be >= 1, got {args.session_capacity}")
-    if args.session_ttl_s <= 0:
-        _fail(f"--session-ttl-s must be > 0, got {args.session_ttl_s}")
-    if args.workers < 1:
-        _fail(f"--workers must be >= 1, got {args.workers}")
-    if args.site_capacity < 1:
-        _fail(f"--site-capacity must be >= 1, got {args.site_capacity}")
+def _check_serve_args(args: argparse.Namespace) -> None:
+    """Exit 2 on bad serve flags, before anything binds or forks."""
+    for flag, value in (
+        ("--max-batch", args.max_batch),
+        ("--max-queue", args.max_queue),
+        ("--session-capacity", args.session_capacity),
+        ("--workers", args.workers),
+        ("--site-capacity", args.site_capacity),
+    ):
+        if value < 1:
+            _fail(f"{flag} must be >= 1, got {value}")
+    # NaN passes every comparison-based check and inf never elapses: a
+    # non-finite wait, deadline, brake or TTL hangs or misbehaves.
+    for flag, value, floor in (
+        ("--max-wait-ms", args.max_wait_ms, ">= 0"),
+        ("--drain-deadline-s", args.drain_deadline_s, ">= 0"),
+        ("--default-deadline-ms", args.default_deadline_ms, "> 0"),
+        ("--p99-limit-ms", args.p99_limit_ms, "> 0"),
+        ("--session-ttl-s", args.session_ttl_s, "> 0"),
+        ("--for-seconds", args.for_seconds, "> 0"),
+    ):
+        if value is not None and not (
+            math.isfinite(value) and (value >= 0 if floor == ">= 0" else value > 0)
+        ):
+            _fail(f"{flag} must be finite and {floor}, got {value}")
     if args.sites is None and args.database is None:
         _fail("serve needs a training database (or --sites FLEET)")
     if args.sites is not None and args.database is not None:
@@ -671,6 +651,52 @@ def _serve_cmd(args: argparse.Namespace) -> int:
     if args.sites is None and args.default_site is not None:
         _fail("--default-site needs --sites")
 
+
+def _print_banner(
+    args: argparse.Namespace, url: str, info: dict, extra: List[str], chaos
+) -> None:
+    """The startup banner of both modes.  ``info`` is the default site's
+    model card; the first line is machine-readable on purpose (tests,
+    benches and perfbench launch ``repro serve --port 0`` and parse it)."""
+    model = f"{info['algorithm']} ({info['locations']} locations, {info['aps']} APs"
+    if info.get("tiers"):
+        model += f"; tiers: {'>'.join(info['tiers'])}"
+    model += ")"
+    lines = [
+        f"serving {url}  model: {model}",
+        f"micro-batching: max_batch={args.max_batch} "
+        f"max_wait_ms={args.max_wait_ms} max_queue={args.max_queue}",
+        f"resilience: breakers={'off' if args.no_breakers else 'on'} "
+        f"p99_limit_ms={args.p99_limit_ms} "
+        f"drain_deadline_s={args.drain_deadline_s}",
+        f"tracking: filter={args.track_filter} "
+        f"session_capacity={args.session_capacity} "
+        f"session_ttl_s={args.session_ttl_s}",
+        *extra,
+    ]
+    if chaos is not None:
+        lines.append(f"chaos: {chaos.describe()}")
+    if args.for_seconds is None:
+        lines.append("Ctrl-C to stop")
+    print("\n".join(lines), flush=True)
+
+
+def _serve_cmd(args: argparse.Namespace) -> int:
+    """``repro serve``: one :class:`~repro.serve.workers.WorkerSpec` from
+    the flags, served by this process (``--workers 1``: worker 0 built
+    in-process by :func:`~repro.serve.workers.build_server`) or by a
+    :class:`~repro.serve.workers.Supervisor` of N forked workers."""
+    import os
+    import signal
+    import tempfile
+    import threading
+
+    from repro.core.floorplan import FloorPlan, FloorPlanError
+    from repro.core.system import ap_positions_by_bssid, site_bounds
+    from repro.serve.registry import UnknownSiteError, load_fleet, one_site_fleet
+    from repro.serve.workers import Supervisor, WorkerSpec, build_server, install_recorder
+
+    _check_serve_args(args)
     ap_positions = None
     bounds = None
     if args.plan:
@@ -688,127 +714,13 @@ def _serve_cmd(args: argparse.Namespace) -> int:
             pass  # un-framed plan: serve without bounds filtering
     elif args.sites is None and args.algorithm in ("geometric", "multilateration"):
         _fail(f"algorithm {args.algorithm!r} needs --plan for AP positions")
-    # One database is a fleet of one building: every path below serves
-    # a ModelRegistry.
-    sites = args.sites
-    if sites is None:
-        sites = one_site_fleet(args.database, args.algorithm, ap_positions, bounds)
-
-    if args.workers > 1:
-        return _serve_multiproc(args, sites)
-
-    chaos = _build_chaos(args)
-    try:
-        registry = ModelRegistry(
-            sites,
-            capacity=args.site_capacity,
-            default_site=args.default_site,
-            service_kwargs={"breakers": not args.no_breakers, "chaos": chaos},
-        )
-        # Loads the default site: a bad pack fails here, before binding.
-        server = LocalizationHTTPServer(
-            registry=registry,
-            host=args.host,
-            port=args.port,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-            default_deadline_ms=args.default_deadline_ms,
-            p99_limit_ms=args.p99_limit_ms,
-            chaos=chaos,
-            drain_deadline_s=args.drain_deadline_s,
-            track_filter=args.track_filter,
-            session_capacity=args.session_capacity,
-            session_ttl_s=args.session_ttl_s,
-        )
-    except (KeyError, ValueError, OSError) as exc:
-        _fail(str(exc))
-    # Always-on flight recorder: /debug/traces answers from it, and
-    # SIGUSR2 dumps the retained traces to a JSONL for offline reading.
-    from repro import obs
-
-    recorder = obs.FlightRecorder()
-    obs.set_recorder(recorder)
-    if hasattr(signal, "SIGUSR2"):
-        import tempfile
-
-        trace_dump = Path(tempfile.gettempdir()) / f"repro-traces-{os.getpid()}.jsonl"
-
-        def _dump_traces(signum, frame):
-            n = recorder.dump_jsonl(trace_dump)
-            print(f"dumped {n} traces -> {trace_dump}", flush=True)
-
-        signal.signal(signal.SIGUSR2, _dump_traces)
-    server.start()
-    # SIGTERM must end with a graceful drain, not a mid-request kill:
-    # the handler only sets an event; the drain runs on the main thread.
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-    try:
-        # server.service is the pinned default site's service: the
-        # banner names the model the unprefixed routes hit.
-        model = _model_banner(server.service.describe())
-        # The URL line is machine-readable on purpose: the service tests
-        # and the load benches launch `repro serve --port 0` and parse it.
-        print(f"serving {server.url}  model: {model}", flush=True)
-        print(
-            f"micro-batching: max_batch={args.max_batch} "
-            f"max_wait_ms={args.max_wait_ms} max_queue={args.max_queue}",
-            flush=True,
-        )
-        print(
-            f"resilience: breakers={'off' if args.no_breakers else 'on'} "
-            f"p99_limit_ms={args.p99_limit_ms} "
-            f"drain_deadline_s={args.drain_deadline_s}",
-            flush=True,
-        )
-        print(
-            f"tracking: filter={args.track_filter} "
-            f"session_capacity={args.session_capacity} "
-            f"session_ttl_s={args.session_ttl_s}",
-            flush=True,
-        )
-        if args.sites is not None:
-            print(
-                f"sites: {len(registry.site_ids())} "
-                f"(default {registry.default_site}, "
-                f"capacity {args.site_capacity})",
-                flush=True,
-            )
-        if chaos is not None:
-            print(f"chaos: {chaos.describe()}", flush=True)
-        if args.for_seconds is None:
-            print("Ctrl-C to stop", flush=True)
-        stop.wait(timeout=args.for_seconds)
-    except KeyboardInterrupt:
-        pass
-    # Graceful exit either way (SIGTERM, --for-seconds, Ctrl-C): stop
-    # accepting, finish in-flight, flush the batcher, then report.  The
-    # CI chaos smoke parses this line and asserts unfinished == 0.
-    report = server.drain()
-    print(
-        f"drain complete: unfinished={report['unfinished']} "
-        f"waited_s={report['waited_s']}",
-        flush=True,
-    )
-    server.stop()
-    return 0 if report["unfinished"] == 0 else 1
-
-
-def _serve_multiproc(args: argparse.Namespace, sites) -> int:
-    """``repro serve --workers N``: supervise a SO_REUSEPORT fleet.
-
-    Prints the same machine-readable banner and ``drain complete:``
-    line as the single-process path, so the CI smoke and the load
-    bench drive both modes with one parser.
-    """
-    import signal
-    import threading
-
-    from repro.serve.workers import Supervisor, WorkerSpec
-
     spec = WorkerSpec(
-        sites=sites,
+        # One database is a fleet of one building: every server is a
+        # ModelRegistry.  A --sites path stays a path, so a restarted
+        # worker reads the manifest as it is on disk.
+        sites=args.sites if args.sites is not None else one_site_fleet(
+            args.database, args.algorithm, ap_positions, bounds
+        ),
         host=args.host,
         port=args.port,
         breakers=not args.no_breakers,
@@ -825,56 +737,61 @@ def _serve_multiproc(args: argparse.Namespace, sites) -> int:
         default_site=args.default_site,
         site_capacity=args.site_capacity,
     )
-    supervisor = Supervisor(spec, args.workers, rundir=args.rundir)
+    server = supervisor = None
+    extra: List[str] = []
     try:
-        infos = supervisor.start()
-    except (RuntimeError, OSError, ValueError) as exc:
+        # The chaos rates, the manifest and the default site fail here,
+        # before anything binds or forks.
+        chaos = spec.chaos_policy()
+        if args.sites is not None:
+            fleet, default = load_fleet(args.sites)
+            if args.default_site is not None:
+                default = args.default_site
+            if default not in fleet:
+                raise UnknownSiteError(default, tuple(sorted(fleet)))
+            extra.append(
+                f"sites: {len(fleet)} (default {default}, capacity {args.site_capacity})"
+            )
+        if args.workers == 1:
+            server = build_server(spec)  # loads the default site
+            install_recorder(
+                Path(tempfile.gettempdir()) / f"repro-traces-{os.getpid()}.jsonl"
+            )
+            server.start()
+            url, info = server.url, server.service.describe()
+        else:
+            supervisor = Supervisor(spec, args.workers, rundir=args.rundir)
+            infos = supervisor.start()
+            url, info = supervisor.url, infos[0]["model"]
+            extra.append(
+                f"workers: {args.workers} rundir: {supervisor.rundir} "
+                f"pids: {','.join(str(i['pid']) for i in infos)}"
+            )
+    except (KeyError, ValueError, OSError, RuntimeError) as exc:
+        if server is not None:
+            server.stop()  # frees the default site even though start() failed
         _fail(str(exc))
+    # SIGTERM must end with a graceful drain, not a mid-request kill:
+    # the handler only sets an event; the drain runs on the main thread.
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-    print(f"serving {supervisor.url}  model: {_model_banner(infos[0]['model'])}",
-          flush=True)
-    print(
-        f"micro-batching: max_batch={args.max_batch} "
-        f"max_wait_ms={args.max_wait_ms} max_queue={args.max_queue}",
-        flush=True,
-    )
-    print(
-        f"resilience: breakers={'off' if args.no_breakers else 'on'} "
-        f"p99_limit_ms={args.p99_limit_ms} "
-        f"drain_deadline_s={args.drain_deadline_s}",
-        flush=True,
-    )
-    print(
-        f"tracking: filter={args.track_filter} "
-        f"session_capacity={args.session_capacity} "
-        f"session_ttl_s={args.session_ttl_s}",
-        flush=True,
-    )
-    if args.sites is not None:
-        print(
-            f"sites: fleet {args.sites} (capacity {args.site_capacity})",
-            flush=True,
-        )
-    print(
-        f"workers: {args.workers} rundir: {supervisor.rundir} "
-        f"pids: {','.join(str(i['pid']) for i in infos)}",
-        flush=True,
-    )
-    if args.chaos:
-        print("chaos: enabled (per-worker seed offsets)", flush=True)
-    if args.for_seconds is None:
-        print("Ctrl-C to stop", flush=True)
+    _print_banner(args, url, info, extra, chaos)
     try:
-        supervisor.monitor(stop, for_seconds=args.for_seconds)
+        if supervisor is None:
+            stop.wait(timeout=args.for_seconds)
+        else:
+            supervisor.monitor(stop, for_seconds=args.for_seconds)
     except KeyboardInterrupt:
         pass
-    report = supervisor.stop()
-    print(
-        f"drain complete: unfinished={report['unfinished']} "
-        f"waited_s={report['waited_s']}",
-        flush=True,
-    )
+    # Graceful exit either way (SIGTERM, --for-seconds, Ctrl-C): stop
+    # accepting, finish in-flight, flush the batchers, then report.
+    if supervisor is None:
+        report = server.drain()
+        server.stop()
+    else:
+        report = supervisor.stop()
+    print(f"drain complete: unfinished={report['unfinished']} "
+          f"waited_s={report['waited_s']}", flush=True)
     return 0 if report["drained"] else 1
 
 

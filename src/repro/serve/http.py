@@ -792,16 +792,20 @@ class LocalizationHTTPServer:
         return self
 
     def stop(self) -> None:
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
+        """Stop serving, unpin the default site and close the registry.
+
+        Idempotent, and also frees a server whose ``start()`` never ran
+        or failed: the constructor already started the default site.
+        """
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
             self._thread.join(timeout=5.0)
-        self.registry.release(self._default_runtime)
+            self._httpd = self._thread = None
+        runtime, self._default_runtime = self._default_runtime, None
+        if runtime is not None:
+            self.registry.release(runtime)
         self.registry.close()
-        self._httpd = None
-        self._thread = None
 
     def __enter__(self) -> "LocalizationHTTPServer":
         return self.start()
@@ -1235,6 +1239,8 @@ class LocalizationHTTPServer:
                 raise _ApiError(400, "bad_request", "reload body must be a JSON object")
             database = doc.get("database")
             body_site = doc.get("site")
+        if database is not None and not (isinstance(database, str) and database):
+            raise _ApiError(400, "bad_request", "'database' must be a non-empty string")
         if body_site is not None:
             if not isinstance(body_site, str):
                 raise _ApiError(400, "bad_request", "'site' must be a string")

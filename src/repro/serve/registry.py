@@ -386,12 +386,12 @@ class ModelRegistry:
         Site the unprefixed routes (``/v1/locate``...) alias.  Defaults
         to the manifest's ``default`` (or the lexicographically first
         site).
-    batch_config / track_config:
-        Keyword overrides for each runtime's per-site
-        :class:`MicroBatcher` / :class:`TrackingSessions`.
     service_kwargs:
         Extra :class:`LocalizationService` keywords applied to every
         site build (e.g. ``breakers=False``, ``chaos=policy``).
+
+    Each site's :class:`MicroBatcher` / :class:`TrackingSessions` knobs
+    and clock come from :meth:`configure_runtimes`.
     """
 
     def __init__(
@@ -399,9 +399,6 @@ class ModelRegistry:
         sites: Union[str, os.PathLike, Dict[str, SiteDefinition]],
         capacity: int = 8,
         default_site: Optional[str] = None,
-        clock=None,
-        batch_config: Optional[Dict[str, object]] = None,
-        track_config: Optional[Dict[str, object]] = None,
         service_kwargs: Optional[Dict[str, object]] = None,
     ):
         if isinstance(sites, (str, os.PathLike)):
@@ -419,9 +416,9 @@ class ModelRegistry:
             raise UnknownSiteError(default_site, tuple(sorted(self._sites)))
         self.capacity = int(capacity)
         self.default_site = default_site
-        self._clock = clock
-        self._batch_config = dict(batch_config or {})
-        self._track_config = dict(track_config or {})
+        self._clock = None
+        self._batch_config: Dict[str, object] = {}
+        self._track_config: Dict[str, object] = {}
         self._service_kwargs = dict(service_kwargs or {})
         # Ready services the first load adopts instead of building one
         # (see from_service).
@@ -462,12 +459,12 @@ class ModelRegistry:
         track_config: Optional[Dict[str, object]] = None,
         clock=None,
     ) -> "ModelRegistry":
-        """Fill in runtime knobs not set at construction.
+        """Set each site runtime's batcher/tracking keywords and clock.
 
         The HTTP server pushes its batching/tracking flags here before
         the first site loads, so one ``ModelRegistry(path)`` plus the
-        usual server flags configures the whole fleet; explicit
-        constructor-time config always wins over these defaults.
+        usual server flags configures the whole fleet.  The first value
+        set for a key (or the clock) wins; later calls only fill gaps.
         """
         for key, value in (batch_config or {}).items():
             self._batch_config.setdefault(key, value)

@@ -1,16 +1,17 @@
-"""Multi-process serving: prefork workers sharing one SO_REUSEPORT port.
+"""Building ``repro serve`` servers: one recipe, one process or a fleet.
 
 CPython's GIL caps a single ``repro serve`` process at roughly one
-core of kernel math no matter how many handler threads run.  This
-module is the scale-out answer (``repro serve --workers N``):
+core of kernel math no matter how many handler threads run; ``repro
+serve --workers N`` scales out to N processes sharing one port:
 
-* :class:`WorkerSpec` — a picklable recipe for one worker: the fleet
-  its :class:`~repro.serve.registry.ModelRegistry` serves plus
-  everything :class:`~repro.serve.http.LocalizationHTTPServer` needs
-  to build the same server the single-process path builds.  A frozen
-  model pack (``.tdbx``) makes the N copies cheap: every worker mmaps
-  the same file, so the model occupies one set of physical pages
-  fleet-wide.
+* :class:`WorkerSpec` — the picklable recipe for a ``repro serve``
+  server, and :func:`build_server`, which turns it into a
+  :class:`~repro.serve.registry.ModelRegistry` and a
+  :class:`~repro.serve.http.LocalizationHTTPServer`.  The single
+  process is worker 0 built in-process; ``--workers N`` hands the same
+  spec to the :class:`Supervisor`.  A frozen model pack (``.tdbx``)
+  makes the N copies cheap: every worker mmaps the same file, so the
+  model occupies one set of physical pages fleet-wide.
 * :func:`worker_main` — the child entry point: fresh metrics registry,
   build, bind with ``SO_REUSEPORT`` (the kernel load-balances accepted
   connections across workers), announce readiness via a rundir file,
@@ -63,6 +64,8 @@ from repro.serve.registry import ModelRegistry, SiteDefinition
 
 __all__ = [
     "WorkerSpec",
+    "build_server",
+    "install_recorder",
     "FleetMetrics",
     "FleetTraces",
     "ControlChannel",
@@ -73,21 +76,20 @@ __all__ = [
 
 @dataclass
 class WorkerSpec:
-    """Everything one worker needs to build its server (picklable).
+    """The recipe for a ``repro serve`` server, in either mode (picklable).
 
     ``chaos_kwargs`` carries the :class:`~repro.serve.resilience.
     ChaosPolicy` constructor arguments rather than a policy instance so
-    each worker builds its own RNG stream (the seed is offset by the
-    worker index — N workers with identical fault schedules would beat
-    in lockstep).
+    each worker builds its own RNG stream (:meth:`chaos_policy` offsets
+    the seed by the worker index — N workers with identical fault
+    schedules would beat in lockstep).
 
     ``sites`` is the fleet each worker's
     :class:`~repro.serve.registry.ModelRegistry` serves: a manifest
     path, a pack directory, or the site definitions themselves (``repro
     serve DB`` hands over :func:`~repro.serve.registry.one_site_fleet`).
-    Frozen ``.tdbx`` packs make the fleet cheap: every worker mmaps the
-    same files, so each resident site occupies one set of physical
-    pages fleet-wide no matter how many workers hold it.
+    A path is read at every build, so a restarted worker reads the
+    manifest as it is on disk.
     """
 
     sites: Union[str, Dict[str, SiteDefinition]]
@@ -110,6 +112,17 @@ class WorkerSpec:
     #: control channel.  The staleness bound on fleet ``/metrics``
     #: totals for workers other than the one answering the scrape.
     flush_interval_s: float = 1.0
+
+    def chaos_policy(self, index: int = 0):
+        """Worker ``index``'s ChaosPolicy, or None; ValueError on bad rates."""
+        if not self.chaos_kwargs:
+            return None
+        from repro.serve.resilience import ChaosPolicy
+
+        kwargs = dict(self.chaos_kwargs)
+        if kwargs.get("seed") is not None:
+            kwargs["seed"] = int(kwargs["seed"]) + index
+        return ChaosPolicy(**kwargs)
 
 
 def _write_atomic(path: Path, doc: dict) -> None:
@@ -245,28 +258,23 @@ class ControlChannel:
         return doc
 
 
-def _build_server(spec: WorkerSpec, index: int, rundir: Path):
-    """Build one worker's registry + HTTP server from the spec."""
+def build_server(spec: WorkerSpec, index: int = 0, **fleet):
+    """Build worker ``index``'s registry and (unstarted) HTTP server.
+
+    The default site loads here, so a bad pack raises before anything
+    binds.  ``fleet`` is the rundir hooks a ``--workers`` worker adds
+    (``reuse_port``, ``metrics_source``, ``trace_source``...).
+    """
     from repro.serve.http import LocalizationHTTPServer
 
-    chaos = None
-    if spec.chaos_kwargs:
-        from repro.serve.resilience import ChaosPolicy
-
-        kwargs = dict(spec.chaos_kwargs)
-        if kwargs.get("seed") is not None:
-            kwargs["seed"] = int(kwargs["seed"]) + index
-        chaos = ChaosPolicy(**kwargs)
+    chaos = spec.chaos_policy(index)
     registry = ModelRegistry(
         spec.sites,
         capacity=spec.site_capacity,
         default_site=spec.default_site,
         service_kwargs={"breakers": spec.breakers, "chaos": chaos},
     )
-    fleet = FleetMetrics(rundir, index)
-    traces = FleetTraces(rundir, index)
-    control = ControlChannel(rundir, index)
-    server = LocalizationHTTPServer(
+    return LocalizationHTTPServer(
         registry=registry,
         host=spec.host,
         port=spec.port,
@@ -280,13 +288,22 @@ def _build_server(spec: WorkerSpec, index: int, rundir: Path):
         track_filter=spec.track_filter,
         session_capacity=spec.session_capacity,
         session_ttl_s=spec.session_ttl_s,
-        reuse_port=True,
-        metrics_source=fleet.merged_snapshot,
-        metrics_state_source=fleet.merged_state,
-        trace_source=traces.merged,
-        admin_hook=control.originate,
+        **fleet,
     )
-    return server, fleet, traces, control
+
+
+def install_recorder(dump_path: Path) -> None:
+    """Install the always-on flight recorder ``/debug/traces`` reads;
+    ``SIGUSR2`` dumps its retained traces to ``dump_path`` as JSONL."""
+    recorder = obs.FlightRecorder()
+    obs.set_recorder(recorder)
+    if hasattr(signal, "SIGUSR2"):
+
+        def dump(signum, frame):
+            n = recorder.dump_jsonl(dump_path)
+            print(f"dumped {n} traces -> {dump_path}", flush=True)
+
+        signal.signal(signal.SIGUSR2, dump)
 
 
 def worker_main(spec: WorkerSpec, index: int, rundir: str) -> int:
@@ -298,24 +315,28 @@ def worker_main(spec: WorkerSpec, index: int, rundir: str) -> int:
     # which is what makes the fleet merge exactly a sum.  Same story
     # for the flight recorder: each worker records its own traces.
     set_registry(MetricsRegistry())
-    recorder = obs.FlightRecorder()
-    obs.set_recorder(recorder)
     rundir_path = Path(rundir)
+    install_recorder(rundir_path / f"traces-{index}-{os.getpid()}.jsonl")
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     # Ctrl-C lands on the whole foreground process group; the
     # supervisor turns it into per-worker SIGTERMs, so the workers'
     # own SIGINT must be inert or they'd die mid-request.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # SIGUSR2: dump this worker's retained traces to a JSONL in the
-    # rundir — live-fleet debugging without touching the serving path.
-    if hasattr(signal, "SIGUSR2"):
-        dump_path = Path(rundir) / f"traces-{index}-{os.getpid()}.jsonl"
-        signal.signal(
-            signal.SIGUSR2,
-            lambda signum, frame: recorder.dump_jsonl(dump_path),
-        )
-    server, fleet, traces, control = _build_server(spec, index, rundir_path)
+    # One of each per worker: a second ControlChannel would replay
+    # this worker's own admin commands.
+    fleet = FleetMetrics(rundir_path, index)
+    traces = FleetTraces(rundir_path, index)
+    control = ControlChannel(rundir_path, index)
+    server = build_server(
+        spec,
+        index,
+        reuse_port=True,
+        metrics_source=fleet.merged_snapshot,
+        metrics_state_source=fleet.merged_state,
+        trace_source=traces.merged,
+        admin_hook=control.originate,
+    )
     server.start()
     obs.gauge("serve.fleet.worker_index").set(index)
     _write_atomic(
@@ -388,9 +409,7 @@ class Supervisor:
             None
         ] * self.workers
         self._placeholder: Optional[socket.socket] = None
-        self._stopping = False
         self.restarts = 0
-        self._exit_codes: List[int] = []
 
     # -- port reservation ------------------------------------------------
     def _reserve_port(self) -> None:
@@ -480,7 +499,6 @@ class Supervisor:
 
     def stop(self, deadline_s: Optional[float] = None) -> Dict[str, object]:
         """SIGTERM the fleet, join, and aggregate the drain reports."""
-        self._stopping = True
         for proc in self._procs:
             if proc is not None and proc.exitcode is None:
                 try:
@@ -491,7 +509,7 @@ class Supervisor:
             self.spec.drain_deadline_s + 15.0 if deadline_s is None else deadline_s
         )
         joined_deadline = time.monotonic() + limit
-        self._exit_codes = []
+        exit_codes: List[int] = []
         for proc in self._procs:
             if proc is None:
                 continue
@@ -499,9 +517,7 @@ class Supervisor:
             if proc.exitcode is None:
                 proc.terminate()
                 proc.join(timeout=2.0)
-            self._exit_codes.append(
-                proc.exitcode if proc.exitcode is not None else -1
-            )
+            exit_codes.append(-1 if proc.exitcode is None else proc.exitcode)
         unfinished = 0
         waited = 0.0
         for index in range(self.workers):
@@ -511,11 +527,11 @@ class Supervisor:
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
-        clean = unfinished == 0 and all(code == 0 for code in self._exit_codes)
+        clean = unfinished == 0 and all(code == 0 for code in exit_codes)
         return {
             "drained": clean,
             "unfinished": unfinished,
             "waited_s": round(waited, 4),
-            "exit_codes": list(self._exit_codes),
+            "exit_codes": exit_codes,
             "restarts": self.restarts,
         }

@@ -329,6 +329,21 @@ class TestReload:
         counters = obs.snapshot()["counters"]
         assert counters["serve.reloads{result=failed}"] == 1
 
+    def test_malformed_database_is_400(self, service):
+        broadcast = []
+        with LocalizationHTTPServer(service, admin_hook=broadcast.append) as server:
+            gen_before = json.loads(request(server.url + "/")[2])["model"]["generation"]
+            for database in (5, ["x"], {"a": 1}, ""):
+                status, _, body = request(
+                    server.url + "/admin/reload", "POST", {"database": database}
+                )
+                assert status == 400, (database, body)
+                assert json.loads(body)["error"] == "bad_request"
+            assert json.loads(request(server.url + "/")[2])["model"]["generation"] == gen_before
+        assert broadcast == []  # no reload ran, so none reaches sibling workers
+        counters = obs.snapshot()["counters"]
+        assert "serve.reloads{result=failed}" not in counters
+
 
 class TestLifecycle:
     def test_port_url_and_restart_guard(self, service):
@@ -341,6 +356,17 @@ class TestLifecycle:
                 server.start()
         # stop() is idempotent
         server.stop()
+
+    def test_stop_without_start_frees_the_default_site(self, service):
+        # The constructor pins the default site and starts its
+        # dispatchers; a server that never binds must still free them.
+        server = LocalizationHTTPServer(service)
+        server.stop()
+        assert server.batcher.alive is False
+        assert server.sessions.alive is False
+        with pytest.raises(RuntimeError):
+            server.registry.acquire(None)
+        server.stop()  # idempotent
 
     def test_degraded_healthz_when_dispatcher_dies(self, service):
         with LocalizationHTTPServer(service) as server:

@@ -1,19 +1,23 @@
-"""Multi-process serving: fleet metrics, control fan-out, supervision.
+"""``repro serve`` as launched: fleet protocols, supervision, the CLI's flags.
 
 The unit half exercises the rundir protocols in-process (no sockets,
 tier1): :class:`FleetMetrics` merges must be exactly the sum of the
 per-worker dumps even after a JSON round-trip, :class:`ControlChannel`
 must deliver each admin command to every sibling exactly once while the
-originator skips its own broadcast, and :class:`WorkerSpec` must
-survive pickling (it crosses the fork/spawn boundary).
+originator skips its own broadcast, :class:`WorkerSpec` must survive
+pickling (it crosses the fork/spawn boundary), and bad serve flags must
+exit 2 before anything is built.
 
-The ``service`` half boots a real two-worker fleet through the CLI in a
-subprocess and checks the acceptance contract end to end: the banner,
+The ``service`` half launches the real CLI in a subprocess.  A
+two-worker fleet checks the acceptance contract end to end: the banner,
 per-worker readiness files, ``/metrics.json`` totals equal to the sum
 of the per-worker dumps, crash-restart by the supervisor, and a clean
 ``drain complete: unfinished=0`` exit on SIGTERM.  The single-process
 ``repro serve DB`` gets the same treatment under 200 concurrent
-clients.
+clients.  Both modes build from one ``WorkerSpec``, so the launch tests
+that set ``--track-filter``/``--session-ttl-s``, ``--sites`` with
+``--site-capacity``/``--default-site``, and ``--chaos*`` to non-default
+values check that each flag reaches the server in either mode.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -34,8 +39,12 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.cli import repro_main
+from repro.core.frozenpack import load_database
 from repro.obs.trace import FlightRecorder, TraceContext
 from repro.serve import LocalizationHTTPServer, LocalizationService, SiteDefinition
+from repro.serve.client import ServiceClient, fold_reports
+from repro.serve.registry import load_fleet
 from repro.serve.workers import (
     ControlChannel,
     FleetMetrics,
@@ -204,6 +213,42 @@ def test_supervisor_rejects_zero_workers(tmp_path):
         Supervisor(WorkerSpec(sites="x"), 0, rundir=str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-wait-ms", "nan"),
+        ("--max-wait-ms", "inf"),
+        ("--drain-deadline-s", "nan"),
+        ("--drain-deadline-s", "inf"),
+        ("--drain-deadline-s", "-1"),
+        ("--default-deadline-ms", "nan"),
+        ("--default-deadline-ms", "-5"),
+        ("--default-deadline-ms", "0"),
+        ("--p99-limit-ms", "nan"),
+        ("--p99-limit-ms", "0"),
+        ("--p99-limit-ms", "-1"),
+        ("--session-ttl-s", "nan"),
+        ("--session-ttl-s", "inf"),
+        ("--for-seconds", "nan"),
+        ("--for-seconds", "inf"),
+        ("--for-seconds", "0"),
+        ("--for-seconds", "-1"),
+    ],
+)
+def test_serve_refuses_non_finite_or_out_of_range_settings(site_fleet, capsys, flag, value):
+    # A NaN wait hangs every request, a NaN TTL expires sessions at
+    # once, a zero latency brake sheds everything: refused before any
+    # server exists.  --for-seconds comes first so that a build which
+    # accepted the value would serve briefly and return 0 instead.
+    with pytest.raises(SystemExit) as exc:
+        repro_main([
+            "serve", site_fleet.packs["site-a"], "--port", "0",
+            "--for-seconds", "0.2", flag, value,
+        ])
+    assert exc.value.code == 2
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # hot reload on the pack path never touches zlib
 # ----------------------------------------------------------------------
@@ -369,9 +414,20 @@ class TestFleet:
 
     def test_metrics_totals_equal_sum_of_worker_dumps(self, fleet, observations):
         doc = observation_doc(observations[0])
-        for _ in range(8):
-            status, body = request(fleet.url + "/v1/locate", "POST", doc)
-            assert status == 200, body
+        statuses = []
+        threads = [
+            threading.Thread(
+                target=lambda: statuses.append(
+                    request(fleet.url + "/v1/locate", "POST", doc)[0]
+                )
+            )
+            for _ in range(32)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert statuses == [200] * 32, statuses
         time.sleep(2.2)  # > flush_interval_s: both workers have flushed
 
         series = "serve.http_requests{code=200,endpoint=locate}"
@@ -379,7 +435,7 @@ class TestFleet:
         for path in sorted(fleet.rundir.glob("metrics-*.json")):
             state = json.loads(path.read_text())
             per_worker.append(int(state["counters"].get(series, 0)))
-        assert sum(per_worker) == 8
+        assert sum(per_worker) == 32
 
         status, body = request(fleet.url + "/metrics.json")
         assert status == 200
@@ -513,3 +569,194 @@ class TestSingleProcessServe:
         assert "rssi_drift" in report["checks"]
         assert b"repro_serve_http_requests_total" in metrics
         assert b"repro_serve_batch_size" in metrics
+
+
+def _drain_cleanly(proc):
+    """SIGTERM a launched server: it must drain clean and exit 0."""
+    proc.send_signal(signal.SIGTERM)
+    tail, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0, tail
+    assert "drain complete: unfinished=0" in tail, tail
+    return tail
+
+
+def _site_doc(pack):
+    """A locate body built from a site's own pack (AP sets differ per site)."""
+    db = load_database(pack)
+    row = db.mean_matrix()[0].tolist()
+    return {"samples": [[None if v != v else v for v in row]], "bssids": list(db.bssids)}
+
+
+@pytest.mark.service
+class TestLaunch:
+    """The CLI's flags reach the server: one launch per flag family."""
+
+    def test_tracking_filter_and_ttl_reach_the_session_store(
+        self, site_fleet, observations
+    ):
+        proc, url, _ = _spawn_serve([
+            site_fleet.packs["site-a"], "--port", "0",
+            "--track-filter", "bayes", "--session-ttl-s", "1",
+        ])
+        try:
+            for step in range(1, 5):
+                status, body = request(
+                    url + "/v1/track/walker", "POST", observation_doc(observations[step])
+                )
+                assert status == 200, body
+                assert json.loads(body)["session"]["seq"] == step
+            status, body = request(url + "/v1/track/walker", "DELETE")
+            assert status == 200 and json.loads(body)["closed"] is True, body
+            status, body = request(
+                url + "/v1/track/abandoned", "POST", observation_doc(observations[0])
+            )
+            assert status == 200, body
+
+            detail = json.loads(request(url + "/healthz")[1])["checks"]["sessions"]["detail"]
+            assert detail["filter"] == "bayes"
+            assert detail["ttl_s"] == 1.0
+            # Nobody closes the abandoned session: the 1 s TTL ages it out.
+            deadline = time.monotonic() + 10.0
+            while detail["active"] != 0:
+                assert time.monotonic() < deadline, f"session store did not drain: {detail}"
+                time.sleep(0.25)
+                detail = json.loads(request(url + "/healthz")[1])["checks"]["sessions"]["detail"]
+            _drain_cleanly(proc)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+
+    def test_sites_fleet_capacity_default_and_per_site_reload(self, tmp_path, capsys):
+        fleet_dir = str(tmp_path / "fleet")
+        assert repro_main(["sites", "gen-fleet", fleet_dir, "--count", "3", "--freeze"]) == 0
+        capsys.readouterr()
+        assert repro_main(["sites", "status", fleet_dir]) == 0
+        status_out = capsys.readouterr().out
+        sites, manifest_default = load_fleet(fleet_dir)
+        site_ids = sorted(sites)
+        assert len(site_ids) == 3 and manifest_default == site_ids[0]
+        assert all(sid in status_out for sid in site_ids), status_out
+        chosen = site_ids[-1]  # not the manifest's default
+
+        proc, url, banner = _spawn_serve([
+            "--sites", fleet_dir, "--port", "0",
+            "--site-capacity", "1", "--default-site", chosen,
+        ])
+        try:
+            assert any(line.startswith("sites: 3 ") for line in banner), banner
+            for sid in site_ids:
+                status, body = request(
+                    f"{url}/v1/sites/{sid}/locate", "POST", _site_doc(sites[sid].database)
+                )
+                assert status == 200 and json.loads(body)["valid"] is True, (sid, body)
+
+            card = json.loads(request(url + "/v1/sites")[1])
+            assert card["sites"] == site_ids and card["default"] == chosen
+            assert len(card["resident"]) <= 1, card
+            assert card["evictions"] >= 1, card
+
+            target = site_ids[1]
+            before = card["generations"][target]
+            status, body = request(f"{url}/v1/sites/{target}/admin/reload", "POST")
+            assert status == 200, body
+            model = json.loads(body)["model"]
+            assert model["site"] == target and model["generation"] > before, model
+            status, body = request(
+                f"{url}/v1/sites/{target}/locate", "POST", _site_doc(sites[target].database)
+            )
+            assert status == 200 and json.loads(body)["valid"] is True, body
+
+            metrics = request(url + "/metrics")[1].decode("utf-8")
+            for sid in site_ids:
+                assert f'site="{sid}"' in metrics, sid
+            assert 'cache="hit"' in metrics and 'cache="miss"' in metrics
+            _drain_cleanly(proc)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+
+    def test_chaos_keeps_availability_and_sigterm_drains_mid_load(self, site_fleet):
+        from repro.core.trainingdb import TrainingDatabase
+
+        db = TrainingDatabase.load(site_fleet.packs["site-a"])
+        docs = [
+            {"samples": [row], "bssids": list(db.bssids)}
+            for row in db.mean_matrix().tolist()
+        ]
+        proc, url, _ = _spawn_serve([
+            site_fleet.packs["site-a"], "--port", "0",
+            "--chaos", "--chaos-tier-error-rate", "0.3",
+            "--chaos-latency-ms", "10", "--chaos-latency-rate", "0.5",
+            "--chaos-reset-rate", "0.02", "--chaos-seed", "7",
+        ])
+        n_clients, n_requests = 24, 25
+        buckets = [[] for _ in range(n_clients)]
+        sigterm = threading.Event()
+
+        def client(cid, n):
+            # Retries absorb the injected resets.  Once SIGTERM is out,
+            # a vanished listener is the expected end of the loop.
+            with ServiceClient.from_url(url, timeout_s=60, max_retries=3, seed=cid) as svc:
+                for i in range(n):
+                    report = svc.locate(docs[(cid + i) % len(docs)])
+                    if report.category == "transport_error" and sigterm.is_set():
+                        return
+                    buckets[cid].append(report)
+
+        def run(n):
+            for bucket in buckets:
+                bucket.clear()
+            threads = [threading.Thread(target=client, args=(c, n)) for c in range(n_clients)]
+            for t in threads:
+                t.start()
+            return threads
+
+        try:
+            threads = run(n_requests)
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads), "clients wedged"
+            folded = fold_reports([r for b in buckets for r in b])
+            assert folded["total"] == n_clients * n_requests, folded
+            assert folded["availability"] >= 0.99, folded
+            assert folded["answered_ok"] > 0, folded
+            counters = json.loads(request(url + "/metrics.json")[1])["counters"]
+            injected = {
+                c["series"].split("kind=")[1].split(",")[0].rstrip("}")
+                for c in counters
+                if c["series"].startswith("serve.chaos.injected{") and c["value"] > 0
+            }
+            assert {"tier_error", "latency", "reset"} <= injected, injected
+
+            # SIGTERM lands mid-load: every accepted request is still
+            # answered and every rejection is clean.
+            threads = run(10_000)
+            time.sleep(1.0)
+            sigterm.set()  # before the signal: no flag/delivery race
+            _drain_cleanly(proc)
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads), "clients wedged"
+            reports = [r for b in buckets for r in b]
+            assert any(r.ok for r in reports), "no load before the drain"
+            dirty = [r for r in reports if not r.clean]
+            assert not dirty, dirty[:5]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+
+    def test_taken_port_is_an_error_line_not_a_traceback(self, site_fleet):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            done = subprocess.run(
+                _LAUNCHER + ["serve", site_fleet.packs["site-a"], "--port", str(port)],
+                capture_output=True, text=True, timeout=120,
+            )
+        assert done.returncode == 2, done
+        assert done.stderr.startswith("error: "), done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
