@@ -642,6 +642,21 @@ def _check_serve_args(args: argparse.Namespace) -> None:
             math.isfinite(value) and (value >= 0 if floor == ">= 0" else value > 0)
         ):
             _fail(f"{flag} must be finite and {floor}, got {value}")
+    # Past threading.TIMEOUT_MAX a wait raises OverflowError; a request
+    # waits its deadline plus the handler's slack.
+    from repro.serve.clock import waitable
+    from repro.serve.http import waitable_budget
+
+    for flag, value, ok in (
+        ("--max-wait-ms", args.max_wait_ms, waitable(args.max_wait_ms / 1000.0)),
+        ("--default-deadline-ms", args.default_deadline_ms,
+         args.default_deadline_ms is None
+         or waitable_budget(args.default_deadline_ms / 1000.0)),
+        ("--for-seconds", args.for_seconds,
+         args.for_seconds is None or waitable(args.for_seconds)),
+    ):
+        if not ok:
+            _fail(f"{flag} must be finite and small enough to wait on, got {value}")
     if args.sites is None and args.database is None:
         _fail("serve needs a training database (or --sites FLEET)")
     if args.sites is not None and args.database is not None:
@@ -1120,6 +1135,8 @@ def _obs_traces(args: argparse.Namespace) -> int:
 
 
 def repro_main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.serve.batcher import DEFAULT_MAX_WAIT_MS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Toolkit umbrella command (see also the per-program "
@@ -1215,8 +1232,11 @@ def repro_main(argv: Optional[Sequence[str]] = None) -> int:
         "(1 disables coalescing)",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=5.0, metavar="MS",
-        help="how long the first queued request may wait for company",
+        "--max-wait-ms", type=float, default=DEFAULT_MAX_WAIT_MS, metavar="MS",
+        help="how long the first queued request may wait for company "
+        "(default %(default)s: dispatch whatever is queued as soon as the "
+        "dispatcher is free; a window trades that much latency on every "
+        "request for fewer dispatches under closed-loop load)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256, metavar="N",

@@ -7,10 +7,12 @@ offline.  This package is that front door, stdlib-only like the rest
 of the serving substrate:
 
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the concurrency
-  heart: single requests from many connections are collected for up to
-  ``max_wait_ms`` (or ``max_batch``) and dispatched as **one**
-  ``locate_many`` call, so live traffic rides the same chunked kernels
-  as bulk scoring.  Bounded queue (admission control),
+  heart: single requests from many connections queue, and whatever is
+  queued (up to ``max_batch``) is dispatched as **one**
+  ``locate_many`` call as soon as the dispatcher is free, so live
+  traffic rides the same chunked kernels as bulk scoring.  A lone
+  request goes out at once; an optional ``max_wait_ms`` window holds
+  requests for company.  Bounded queue (admission control),
   per-request deadlines, injectable clock.
 * :mod:`repro.serve.service` — :class:`LocalizationService`, model
   lifecycle: load + warm a fitted localizer from a training database,

@@ -15,7 +15,18 @@ from __future__ import annotations
 import threading
 import time
 
-__all__ = ["SystemClock", "ManualClock"]
+__all__ = ["SystemClock", "ManualClock", "waitable"]
+
+
+def waitable(seconds: float) -> bool:
+    """Whether a thread can wait ``seconds``: 0 <= seconds <= TIMEOUT_MAX.
+
+    Past :data:`threading.TIMEOUT_MAX` the wait itself raises
+    OverflowError, and a timed wait on NaN returns at once, so a loop
+    waiting for a NaN window to close spins.  The batch window and the
+    HTTP deadline budget are both checked with this rule.
+    """
+    return 0.0 <= seconds <= threading.TIMEOUT_MAX
 
 
 class SystemClock:

@@ -98,8 +98,13 @@ from repro.obs.export import (
     render_prometheus,
 )
 from repro.obs.trace import SNAPSHOT_SCHEMA as TRACE_SCHEMA
-from repro.serve.batcher import DeadlineExceededError, MicroBatcher, QueueFullError
-from repro.serve.clock import SystemClock
+from repro.serve.batcher import (
+    DEFAULT_MAX_WAIT_MS,
+    DeadlineExceededError,
+    MicroBatcher,
+    QueueFullError,
+)
+from repro.serve.clock import SystemClock, waitable
 from repro.serve.registry import ModelRegistry, SiteRuntime, UnknownSiteError
 from repro.serve.resilience import (
     AdmissionController,
@@ -128,6 +133,19 @@ __all__ = ["LocalizationHTTPServer"]
 #: :class:`repro.serve.client.ServiceClient` re-stamps the *remaining*
 #: budget on every retry hop.
 DEADLINE_HEADER = "X-Deadline-Ms"
+
+#: How long past its deadline budget a handler still waits on the answer.
+#: The dispatcher enforces the deadline; the slack only bounds a dispatch
+#: that is itself slow.
+DEADLINE_SLACK_S = 30.0
+
+
+def waitable_budget(budget_s: float) -> bool:
+    """Whether a deadline budget (seconds) is one a handler can wait on:
+    > 0, and with :data:`DEADLINE_SLACK_S` added still
+    :func:`~repro.serve.clock.waitable`.  NaN and infinity fail too."""
+    return budget_s > 0 and waitable(budget_s + DEADLINE_SLACK_S)
+
 
 #: W3C trace-context header; parsed leniently (a malformed value mints
 #: a fresh context instead of erroring).
@@ -531,11 +549,19 @@ class LocalizationHTTPServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read :attr:`url`).
     max_batch, max_wait_ms, max_queue:
-        Micro-batcher knobs (see :class:`~repro.serve.batcher.MicroBatcher`).
-        ``max_batch=1`` disables coalescing — the serving bench's baseline.
+        Micro-batcher knobs for both dispatchers, ``http`` (locates) and
+        ``track`` (session steps); see
+        :class:`~repro.serve.batcher.MicroBatcher`.  The default window
+        is greedy dispatch: a lone request goes out at once, and
+        requests queued behind a running dispatch coalesce into the
+        next one.  A positive ``max_wait_ms`` holds each request up to
+        that long for company.  ``max_batch=1`` disables coalescing —
+        the serving bench's baseline.
     default_deadline_ms:
         Deadline applied to locate requests that do not send their own
-        (header or body; None: wait as long as it takes).
+        (header or body; None: wait as long as it takes).  Like a
+        request's own budget it must be > 0 and small enough to wait
+        on, else ValueError.
     clock:
         Injectable time source shared with the batcher.
     retry_after_s:
@@ -618,7 +644,7 @@ class LocalizationHTTPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 64,
-        max_wait_ms: float = 5.0,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = 256,
         default_deadline_ms: Optional[float] = None,
         clock=None,
@@ -639,6 +665,13 @@ class LocalizationHTTPServer:
     ):
         if [service, registry].count(None) != 1:
             raise ValueError("pass either a LocalizationService or a ModelRegistry")
+        if default_deadline_ms is not None and not waitable_budget(
+            default_deadline_ms / 1000.0
+        ):
+            raise ValueError(
+                "default_deadline_ms must be finite, > 0 and small enough "
+                f"to wait on, got {default_deadline_ms}"
+            )
         if service is not None:
             registry = ModelRegistry.from_service(service)
         self.registry = registry
@@ -935,22 +968,24 @@ class LocalizationHTTPServer:
 
         The tightest of the ``X-Deadline-Ms`` header and the body's
         ``deadline_ms`` wins; ``default_deadline_ms`` applies only when
-        neither is present.  Invalid values — non-numeric or
-        non-finite — are 400s; a non-positive *header* budget is a 504
-        (the client's clock says the request is already dead — distinct
-        from a malformed body deadline).
+        neither is present.  Invalid values — non-numeric, non-finite or
+        too large to wait on (:func:`waitable_budget`) — are 400s; a
+        non-positive *header* budget is a 504 (the client's clock says
+        the request is already dead — distinct from a malformed body
+        deadline).
         """
         budgets: List[float] = []
         body_ms = (doc or {}).get("deadline_ms")
         if body_ms is not None:
             try:
                 body_s = float(body_ms) / 1000.0
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise _ApiError(400, "bad_deadline",
                                 f"deadline_ms not a number: {body_ms!r}") from None
-            if not math.isfinite(body_s) or body_s <= 0:
+            if not waitable_budget(body_s):
                 raise _ApiError(400, "bad_deadline",
-                                f"deadline_ms must be finite and > 0, got {body_ms}")
+                                "deadline_ms must be finite, > 0 and small "
+                                f"enough to wait on, got {body_ms}")
             budgets.append(body_s)
         header_ms = handler.headers.get(DEADLINE_HEADER)
         if header_ms is not None:
@@ -962,9 +997,10 @@ class LocalizationHTTPServer:
             if header_s <= 0:
                 raise _ApiError(504, "deadline_exceeded",
                                 f"{DEADLINE_HEADER} budget already spent ({header_ms}ms)")
-            if not math.isfinite(header_s):
+            if not waitable_budget(header_s):
                 raise _ApiError(400, "bad_deadline",
-                                f"{DEADLINE_HEADER} must be finite, got {header_ms!r}")
+                                f"{DEADLINE_HEADER} must be finite and small enough "
+                                f"to wait on, got {header_ms!r}")
             budgets.append(header_s)
         if not budgets and self.default_deadline_ms is not None:
             budgets.append(float(self.default_deadline_ms) / 1000.0)
@@ -1063,7 +1099,7 @@ class LocalizationHTTPServer:
                 # The dispatcher enforces the queue-side deadline; the extra
                 # slack here only bounds a dispatch that is itself slow.
                 estimate = future.result(
-                    timeout=None if budget_s is None else budget_s + 30.0
+                    timeout=None if budget_s is None else budget_s + DEADLINE_SLACK_S
                 )
             except DeadlineExceededError as exc:
                 raise _ApiError(504, "deadline_exceeded", str(exc)) from None
@@ -1173,7 +1209,7 @@ class LocalizationHTTPServer:
             raise self._shed(str(exc), sessions.batcher) from None
         try:
             estimate, seq = future.result(
-                timeout=None if budget_s is None else budget_s + 30.0
+                timeout=None if budget_s is None else budget_s + DEADLINE_SLACK_S
             )
         except DeadlineExceededError as exc:
             raise _ApiError(504, "deadline_exceeded", str(exc)) from None

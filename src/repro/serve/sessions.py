@@ -46,7 +46,7 @@ from repro.algorithms.tracking import (
     RSSIField,
     Tracker,
 )
-from repro.serve.batcher import BatchFailure, MicroBatcher
+from repro.serve.batcher import DEFAULT_MAX_WAIT_MS, BatchFailure, MicroBatcher
 from repro.serve.clock import SystemClock
 
 __all__ = [
@@ -451,7 +451,7 @@ class TrackingSessions:
         capacity: int = 10000,
         ttl_s: float = 300.0,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = 512,
         clock=None,
         bounds=None,

@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro import obs
+from repro.serve.batcher import DEFAULT_MAX_WAIT_MS
 from repro.serve.registry import ModelRegistry, SiteDefinition
 
 __all__ = [
@@ -97,7 +98,7 @@ class WorkerSpec:
     port: int = 0
     breakers: bool = True
     max_batch: int = 64
-    max_wait_ms: float = 5.0
+    max_wait_ms: float = DEFAULT_MAX_WAIT_MS
     max_queue: int = 256
     default_deadline_ms: Optional[float] = None
     p99_limit_ms: Optional[float] = None

@@ -7,6 +7,7 @@ really sleeps — a batch window of ten *seconds* tests in microseconds.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import Future
 
@@ -61,10 +62,25 @@ class TestBatching:
         with MicroBatcher(echo_dispatch, max_batch=4, max_wait_ms=0.0) as batcher:
             assert batcher.submit_wait("obs-1", timeout=30) == {"answer": "obs-1"}
 
-    def test_full_batch_dispatches_together(self):
-        """max_batch queued requests coalesce into one dispatch call."""
+    def test_lone_request_does_not_wait_by_default(self):
+        """The default window is greedy: a lone request leaves at once.
+
+        On the manual clock any timed wait would advance virtual time,
+        so the clock still reading 0.0 proves the request never waited.
+        """
+        clock = ManualClock()
+        with MicroBatcher(echo_dispatch, clock=clock) as batcher:
+            assert batcher.submit("lonely").result(timeout=5) == {"answer": "lonely"}
+            assert clock.monotonic() == 0.0
+
+    @pytest.mark.parametrize(
+        "window", [{"max_wait_ms": 10_000.0}, {}], ids=["10s-window", "default"]
+    )
+    def test_full_batch_dispatches_together(self, window):
+        """Requests queued behind a running dispatch coalesce into one
+        dispatch call, with or without a batching window."""
         gate = _GatedDispatch()
-        with MicroBatcher(gate, max_batch=3, max_wait_ms=10_000.0, max_queue=64) as b:
+        with MicroBatcher(gate, max_batch=3, max_queue=64, **window) as b:
             probe = b.submit("probe")
             assert gate.entered.wait(timeout=30.0)
             # Dispatcher is parked in the kernel: these three are queued
@@ -216,7 +232,16 @@ class TestLifecycleAndErrors:
                 future.result(timeout=30)
 
     def test_constructor_validation(self):
-        for kwargs in ({"max_batch": 0}, {"max_wait_ms": -1.0}, {"max_queue": 0}):
+        # A NaN window spun the dispatcher on a full core; inf and 1e300
+        # overflowed its wait and killed the thread.
+        for kwargs in (
+            {"max_batch": 0},
+            {"max_wait_ms": -1.0},
+            {"max_wait_ms": math.nan},
+            {"max_wait_ms": math.inf},
+            {"max_wait_ms": 1e300},
+            {"max_queue": 0},
+        ):
             with pytest.raises(ValueError):
                 MicroBatcher(echo_dispatch, **kwargs)
 

@@ -86,6 +86,9 @@ class TestEndpoints:
         assert doc["model"]["algorithm"] == "fallback"
         assert doc["model"]["tiers"] == ["geometric", "probabilistic", "nearest"]
         assert "POST /v1/locate" in doc["endpoints"]
+        # Greedy dispatch by default, for locates and session steps alike.
+        assert doc["batching"]["max_wait_ms"] == 0.0
+        assert server.sessions.batcher.max_wait_s == 0.0
 
     def test_locate_answers_with_diagnostics(self, service, observations):
         with LocalizationHTTPServer(service) as server:
@@ -171,6 +174,10 @@ class TestBadRequests:
             ({"samples": [[-60.0]], "deadline_ms": -5}, "bad_deadline"),
             ({"samples": [[-60.0]], "deadline_ms": math.nan}, "bad_deadline"),
             ({"samples": [[-60.0]], "deadline_ms": math.inf}, "bad_deadline"),
+            # Too large to wait on (1e300 ms), or an integer too large
+            # for a float: both answered 500.
+            ({"samples": [[-60.0]], "deadline_ms": 1e300}, "bad_deadline"),
+            ({"samples": [[-60.0]], "deadline_ms": 10**400}, "bad_deadline"),
         ],
     )
     def test_locate_rejects_malformed_with_400(self, service, doc, error):
@@ -178,6 +185,12 @@ class TestBadRequests:
             status, _, body = request(server.url + "/v1/locate", "POST", doc)
         assert status == 400
         assert json.loads(body)["error"] == error
+
+    @pytest.mark.parametrize("ms", [0.0, -5.0, math.nan, math.inf, 1e300])
+    def test_unwaitable_default_deadline_is_refused(self, service, ms):
+        # At 1e300 every locate answered 500: the handler's wait overflowed.
+        with pytest.raises(ValueError, match="default_deadline_ms"):
+            LocalizationHTTPServer(service, default_deadline_ms=ms)
 
     def test_bad_json_is_400_not_500(self, service):
         with LocalizationHTTPServer(service) as server:

@@ -469,16 +469,17 @@ class TestDeadlineHeader:
 
     def test_unparseable_header_is_400(self, http_service, observations):
         # Non-finite budgets are malformed too: NaN never expires and
-        # infinity overflows the deadline clock.
+        # infinity overflows the deadline clock, as does a finite budget
+        # too large for the handler to wait on.
         answers = []
         with LocalizationHTTPServer(http_service) as server:
-            for value in ("soon", "nan", "inf"):
+            for value in ("soon", "nan", "inf", "1e300"):
                 for path in ("/v1/locate", "/v1/track/dev-1"):
                     answers.append(_post(
                         server.url + path, _observation_doc(observations[0]),
                         headers={DEADLINE_HEADER: value},
                     ))
-        assert [status for status, _, _ in answers] == [400] * 6
+        assert [status for status, _, _ in answers] == [400] * 8
         assert all(json.loads(body)["error"] == "bad_deadline" for _, _, body in answers)
 
     def test_tightest_deadline_wins(self, http_service, observations):

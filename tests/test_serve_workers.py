@@ -218,12 +218,14 @@ def test_supervisor_rejects_zero_workers(tmp_path):
     [
         ("--max-wait-ms", "nan"),
         ("--max-wait-ms", "inf"),
+        ("--max-wait-ms", "1e300"),
         ("--drain-deadline-s", "nan"),
         ("--drain-deadline-s", "inf"),
         ("--drain-deadline-s", "-1"),
         ("--default-deadline-ms", "nan"),
         ("--default-deadline-ms", "-5"),
         ("--default-deadline-ms", "0"),
+        ("--default-deadline-ms", "1e300"),
         ("--p99-limit-ms", "nan"),
         ("--p99-limit-ms", "0"),
         ("--p99-limit-ms", "-1"),
@@ -233,13 +235,15 @@ def test_supervisor_rejects_zero_workers(tmp_path):
         ("--for-seconds", "inf"),
         ("--for-seconds", "0"),
         ("--for-seconds", "-1"),
+        ("--for-seconds", "1e300"),
     ],
 )
 def test_serve_refuses_non_finite_or_out_of_range_settings(site_fleet, capsys, flag, value):
-    # A NaN wait hangs every request, a NaN TTL expires sessions at
-    # once, a zero latency brake sheds everything: refused before any
-    # server exists.  --for-seconds comes first so that a build which
-    # accepted the value would serve briefly and return 0 instead.
+    # A NaN wait hangs every request, a wait past threading.TIMEOUT_MAX
+    # overflows, a NaN TTL expires sessions at once, a zero latency
+    # brake sheds everything: refused before any server exists.
+    # --for-seconds comes first so that a build which accepted the
+    # value would serve briefly and return 0 instead.
     with pytest.raises(SystemExit) as exc:
         repro_main([
             "serve", site_fleet.packs["site-a"], "--port", "0",
@@ -399,6 +403,7 @@ class TestFleet:
     def test_banner_and_ready_files(self, fleet):
         banner = "\n".join(fleet.banner)
         assert "workers: 2" in banner
+        assert "max_wait_ms=0.0" in banner
         assert "model: fallback" in banner
         infos = [
             json.loads((fleet.rundir / f"worker-{i}.json").read_text())
